@@ -28,6 +28,7 @@ from typing import List, Tuple
 
 from ..core.registry import experiment
 from ..core.report import format_series, format_table, write_csv
+from ..sim.stats import nearest_rank_percentile
 
 #: p99 user-perceived latency SLO (ms) a fleet configuration must hold —
 #: the paper's 100 ms perception threshold, applied to the latency tail.
@@ -71,15 +72,6 @@ HOG_PERIOD_MS = 100.0
 #: Simulated warmup (session setup drains) and measurement windows, ms.
 WARMUP_MS = 1_500.0
 MEASURE_MS = 4_000.0
-
-
-def _percentile(samples: List[float], pct: float) -> float:
-    """Nearest-rank percentile of *samples* (0.0 when empty)."""
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    rank = int(round(pct / 100.0 * (len(ordered) - 1)))
-    return ordered[min(rank, len(ordered) - 1)]
 
 
 def _drive_fleet(fleet, sessions: int) -> List[float]:
@@ -142,8 +134,8 @@ def _fleet_capacity_point(
     latencies = _drive_fleet(fleet, offered)
     report = fleet.report(t0=WARMUP_MS)
     return (
-        _percentile(latencies, 50.0),
-        _percentile(latencies, 99.0),
+        nearest_rank_percentile(latencies, 50.0),
+        nearest_rank_percentile(latencies, 99.0),
         fleet.admission.admitted_total,
         fleet.admission.rejected_total,
         float(report["backbone_utilization"]),
@@ -210,8 +202,8 @@ def _fleet_placement_point(
     )
     latencies = _drive_fleet(fleet, PLACEMENT_SESSIONS)
     return (
-        _percentile(latencies, 50.0),
-        _percentile(latencies, 99.0),
+        nearest_rank_percentile(latencies, 50.0),
+        nearest_rank_percentile(latencies, 99.0),
         fleet.migrations,
         fleet.admission.rejected_total,
     )

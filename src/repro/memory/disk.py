@@ -50,8 +50,13 @@ class PagingDisk:
         self.busy_ms = 0.0
 
     def _positioning_ms(self) -> float:
-        seek = self.rng.uniform(self.params.seek_lo_ms, self.params.seek_hi_ms)
-        rotation = self.rng.uniform(0.0, self.params.rotation_ms)
+        # ``random.uniform(lo, hi)`` inlined: it computes
+        # ``lo + (hi - lo) * random()`` (lo = 0.0 for the rotation), so the
+        # draws, their order and the floats are those of two uniform calls.
+        params = self.params
+        draw = self.rng.random
+        seek = params.seek_lo_ms + (params.seek_hi_ms - params.seek_lo_ms) * draw()
+        rotation = params.rotation_ms * draw()
         return seek + rotation
 
     def read_ms(self, pages: int = 1) -> float:

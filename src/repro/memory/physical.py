@@ -41,7 +41,15 @@ class Frame:
 
 
 class FramePool:
-    """A fixed pool of physical frames with a free list."""
+    """A fixed pool of physical frames with a free list.
+
+    Frames are built on first allocation.  The free list is a stack of
+    released frames over a high-water index of frames never handed out.
+    That hands frames out in exactly the order of a pool built up front:
+    released frames are reused LIFO, then the lowest never-used index.
+    OS-base frames pinned from the never-used range stay index ranges,
+    with no :class:`Frame` object, until :attr:`frames` is read.
+    """
 
     def __init__(self, total_bytes: int, page_size: int = DEFAULT_PAGE_SIZE) -> None:
         if page_size <= 0:
@@ -50,20 +58,45 @@ class FramePool:
             raise MemoryError_("physical memory smaller than one page")
         self.page_size = page_size
         self.total_frames = total_bytes // page_size
-        self.frames: List[Frame] = [Frame(i) for i in range(self.total_frames)]
-        self._free: List[Frame] = list(reversed(self.frames))
-        for frame in self._free:
-            frame.free = True
+        self._released: List[Frame] = []  #: LIFO stack of freed frames
+        self._next = 0  #: frames ``[_next, total_frames)`` were never used
+        self._built: List[Frame] = []  #: every Frame built, in index order
+        self._pinned_runs: List[range] = []  #: pinned indices with no object
+
+    @property
+    def frames(self) -> List[Frame]:
+        """Every frame in index order, building the ones not yet built.
+
+        The never-used frames join the bottom of the free list, where a
+        pool built up front holds them, so reading this changes no
+        allocation.
+        """
+        built = self._built
+        if len(built) < self.total_frames:
+            for run in self._pinned_runs:
+                for index in run:
+                    frame = Frame(index)
+                    frame.pinned = True
+                    built.append(frame)
+            self._pinned_runs = []
+            fresh = [Frame(i) for i in range(self._next, self.total_frames)]
+            for frame in fresh:
+                frame.free = True
+            self._released[:0] = reversed(fresh)
+            self._next = self.total_frames
+            built += fresh
+            built.sort(key=lambda frame: frame.index)
+        return built
 
     @property
     def free_frames(self) -> int:
         """Frames on the free list."""
-        return len(self._free)
+        return len(self._released) + self.total_frames - self._next
 
     @property
     def used_frames(self) -> int:
         """Frames allocated or pinned."""
-        return self.total_frames - len(self._free)
+        return self._next - len(self._released)
 
     def pin(self, nbytes: int) -> int:
         """Permanently reserve *nbytes* (rounded up to whole frames).
@@ -76,20 +109,32 @@ class FramePool:
             raise MemoryError_(
                 f"cannot pin {npages} frames; only {self.free_frames} free"
             )
-        for _ in range(npages):
-            frame = self._free.pop()
+        released = self._released
+        reused = min(npages, len(released))
+        for _ in range(reused):
+            frame = released.pop()
             frame.free = False
             frame.pinned = True
+        fresh = npages - reused
+        if fresh:
+            self._pinned_runs.append(range(self._next, self._next + fresh))
+            self._next += fresh
         return npages
 
     def allocate(self) -> Optional[Frame]:
         """Take a free frame, or None if physical memory is exhausted."""
-        if not self._free:
+        if self._released:
+            frame = self._released.pop()
+            frame.free = False
+            frame.dirty = False
+            frame.referenced = False
+            return frame
+        index = self._next
+        if index == self.total_frames:
             return None
-        frame = self._free.pop()
-        frame.free = False
-        frame.dirty = False
-        frame.referenced = False
+        self._next = index + 1
+        frame = Frame(index)
+        self._built.append(frame)
         return frame
 
     def release(self, frame: Frame) -> None:
@@ -103,4 +148,4 @@ class FramePool:
         frame.dirty = False
         frame.referenced = False
         frame.free = True
-        self._free.append(frame)
+        self._released.append(frame)

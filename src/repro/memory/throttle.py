@@ -26,7 +26,7 @@ from typing import List, Optional
 
 from .pagetable import AddressSpace
 from .physical import Frame
-from .vm import AccessResult, VirtualMemory
+from .vm import VirtualMemory
 
 
 class ThrottledVirtualMemory(VirtualMemory):
@@ -85,12 +85,16 @@ class ThrottledVirtualMemory(VirtualMemory):
             < self.pool.total_frames * self.pressure_threshold
         )
 
-    def touch(
-        self, space: AddressSpace, vpn: int, *, write: bool = False
-    ) -> AccessResult:
+    def _page_in(self, space: AddressSpace, vpn: int, write: bool) -> float:
+        """The shared fault path, plus the penalty for streaming faults.
+
+        Pressure is judged before the fault takes its frames.  Wrapping
+        the one fault path means :meth:`touch` and :meth:`touch_sequential`
+        are throttled alike.
+        """
         pressured = self.under_pressure
-        result = super().touch(space, vpn, write=write)
-        if result.faulted and pressured and not space.interactive:
+        latency = super()._page_in(space, vpn, write)
+        if pressured and not space.interactive:
             self.throttled_faults += 1
-            result.latency_ms += self.throttle_ms
-        return result
+            latency += self.throttle_ms
+        return latency

@@ -122,52 +122,15 @@ class VirtualMemory:
             if self._obs is not None:
                 self._count_hits(1)
             return AccessResult(self.HIT_LATENCY_MS, False, 0, 0)
-
-        # Page fault: bring in vpn plus up to read_cluster-1 following pages.
-        space.faults += 1
-        self.total_faults += 1
-        if self._obs is not None:
-            counter = self._faults_counter
-            if counter is None:
-                counter = self._faults_counter = self._obs.metrics.counter(
-                    "mem.faults"
-                )
-            counter.value += 1
-        latency = 0.0
-        evicted = 0
-        to_read = [vpn]
-        for next_vpn in range(vpn + 1, vpn + self.read_cluster):
-            if next_vpn < space.num_pages and space.lookup(next_vpn) is None:
-                to_read.append(next_vpn)
-            else:
-                break
-
-        mapped = 0
-        for fault_vpn in to_read:
-            frame, evict_latency, evict_count = self._obtain_frame(space)
-            if frame is None:
-                if mapped:
-                    break  # cluster truncated by memory pressure
-                raise MemoryError_(
-                    "out of memory: no free frames and no evictable pages"
-                )
-            latency += evict_latency
-            evicted += evict_count
-            space.map(fault_vpn, frame)
-            if write and fault_vpn == vpn:
-                frame.dirty = True
-            self.policy.insert(frame)
-            mapped += 1
-
-        latency += self.disk.read_ms(mapped)
-        if self._obs is not None:
-            hist = self._fault_latency_hist
-            if hist is None:
-                hist = self._fault_latency_hist = self._obs.metrics.histogram(
-                    "mem.fault_latency_ms"
-                )
-            hist.observe(latency)
-        return AccessResult(latency, True, evicted, mapped)
+        evictions = self.total_evictions
+        pages_read = self.disk.pages_read
+        latency = self._page_in(space, vpn, write)
+        return AccessResult(
+            latency,
+            True,
+            self.total_evictions - evictions,
+            self.disk.pages_read - pages_read,
+        )
 
     def touch_sequential(
         self, space: AddressSpace, start_vpn: int, npages: int, *, write: bool = False
@@ -176,19 +139,23 @@ class VirtualMemory:
 
         Batch-aware: runs of hits are accounted inline — no per-page
         :class:`AccessResult` allocation, one counter update per run —
-        and only faults take the full :meth:`touch` path.  Totals
-        (``space.hits``, ``total_hits``, the ``mem.hits`` counter) end
-        identical to *npages* individual :meth:`touch` calls.
+        and each miss goes straight to :meth:`_page_in`.  Totals
+        (``space.hits``, ``total_hits``, the ``mem.hits`` counter) and the
+        summed latency end identical to *npages* individual :meth:`touch`
+        calls.
         """
         total = 0.0
         hit_run = 0
         hit_latency = self.HIT_LATENCY_MS
-        lookup = space.lookup
+        # ``vpn % num_pages`` is always in range, so read the page table
+        # directly instead of paying AddressSpace.lookup's range check.
+        table = space._table
         access = self.policy.access
+        page_in = self._page_in
         num_pages = space.num_pages
         for vpn in range(start_vpn, start_vpn + npages):
             v = vpn % num_pages
-            frame = lookup(v)
+            frame = table.get(v)
             if frame is not None:
                 access(frame)
                 if write:
@@ -196,7 +163,7 @@ class VirtualMemory:
                 hit_run += 1
                 total += hit_latency
             else:
-                total += self.touch(space, v, write=write).latency_ms
+                total += page_in(space, v, write)
         if hit_run:
             space.hits += hit_run
             self.total_hits += hit_run
@@ -216,22 +183,64 @@ class VirtualMemory:
 
     # -- internals --------------------------------------------------------------
 
-    def _obtain_frame(self, requester: AddressSpace):
-        """A free frame, evicting a victim if necessary.
+    def _page_in(self, space: AddressSpace, vpn: int, write: bool) -> float:
+        """Fault non-resident *vpn* (plus its read cluster) in; the latency.
 
-        Returns ``(frame_or_none, writeback_latency_ms, evicted_count)``.
-        Subclasses (throttling) override :meth:`_select_victim`.
+        The one fault path: :meth:`touch` and :meth:`touch_sequential`
+        both land here, and subclasses (throttling) wrap it.  *vpn* must
+        be in range and not resident.  Up to ``read_cluster - 1`` following
+        non-resident pages come in with it in one disk request; memory
+        pressure may truncate the cluster, but never the faulting page.
         """
-        frame = self.pool.allocate()
-        if frame is not None:
-            return frame, 0.0, 0
-        victim = self._select_victim(requester)
-        if victim is None:
-            return None, 0.0, 0
-        latency = self._evict(victim)
-        frame = self.pool.allocate()
-        assert frame is not None
-        return frame, latency, 1
+        space.faults += 1
+        self.total_faults += 1
+        obs = self._obs
+        if obs is not None:
+            counter = self._faults_counter
+            if counter is None:
+                counter = self._faults_counter = obs.metrics.counter("mem.faults")
+            counter.value += 1
+        # The cluster is fixed before any eviction, as the pages after vpn
+        # stand now: an eviction below must not lengthen it.
+        table = space._table
+        end = vpn + 1
+        if self.read_cluster > 1:
+            stop = min(vpn + self.read_cluster, space.num_pages)
+            while end < stop and end not in table:
+                end += 1
+
+        latency = 0.0
+        for fault_vpn in range(vpn, end):
+            frame = self.pool.allocate()
+            if frame is None:
+                victim = self._select_victim(space)
+                if victim is None:
+                    if fault_vpn == vpn:
+                        raise MemoryError_(
+                            "out of memory: no free frames and no evictable pages"
+                        )
+                    end = fault_vpn  # cluster truncated by memory pressure
+                    break
+                latency += self._evict(victim)
+                frame = self.pool.allocate()
+            # AddressSpace.map without its checks: fault_vpn is in range
+            # and not resident, by the caller's contract and the scan above.
+            frame.owner = space
+            frame.vpn = fault_vpn
+            table[fault_vpn] = frame
+            if write and fault_vpn == vpn:
+                frame.dirty = True
+            self.policy.insert(frame)
+
+        latency += self.disk.read_ms(end - vpn)
+        if obs is not None:
+            hist = self._fault_latency_hist
+            if hist is None:
+                hist = self._fault_latency_hist = obs.metrics.histogram(
+                    "mem.fault_latency_ms"
+                )
+            hist.observe(latency)
+        return latency
 
     def _select_victim(self, requester: AddressSpace) -> Optional[Frame]:
         if len(self.policy) == 0:

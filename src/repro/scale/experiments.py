@@ -51,10 +51,11 @@ entries stay distinct.
 from __future__ import annotations
 
 from functools import partial
-from typing import List, Tuple
+from typing import Tuple
 
 from ..core.registry import experiment
 from ..core.report import format_series, format_table, write_csv
+from ..sim.stats import nearest_rank_percentile
 
 #: Arrival processes raced by ``scale_load_curve`` (output row order).
 LOAD_CURVE_PROCESSES = ["poisson", "onoff"]
@@ -146,15 +147,6 @@ CLOSED_FLEET_KEYSTROKE_BYTES = 64
 #: cell) so the closed frontier is CPU-bound like the open one.
 CLOSED_FLEET_ECHO_BYTES = 100
 CLOSED_FLEET_CPU_MS_PER_ECHO = 0.18
-
-
-def _percentile(samples: List[float], pct: float) -> float:
-    """Nearest-rank percentile of *samples* (0.0 when empty)."""
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    rank = int(round(pct / 100.0 * (len(ordered) - 1)))
-    return ordered[min(rank, len(ordered) - 1)]
 
 
 def _scale_load_curve_point(
@@ -304,8 +296,8 @@ def _scale_fleet_point(
         len(corrected),
         float(report["servers"][0]["cpu_utilization"]),
         lan_util,
-        _percentile(corrected, 50.0),
-        _percentile(corrected, 99.0),
+        nearest_rank_percentile(corrected, 50.0),
+        nearest_rank_percentile(corrected, 99.0),
         tracker.violation_rate,
         tracker.budget_burn,
     )
@@ -357,8 +349,8 @@ def _scale_closed_fleet_point(
         float(report["servers"][0]["cpu_utilization"]),
         lan_util,
         float(report["background_keys_per_s"]) / FLEET_SERVERS,
-        _percentile(corrected, 50.0),
-        _percentile(corrected, 99.0),
+        nearest_rank_percentile(corrected, 50.0),
+        nearest_rank_percentile(corrected, 99.0),
         tracker.violation_rate,
         tracker.budget_burn,
     )

@@ -9,6 +9,7 @@ from .stats import (
     ecdf,
     jitter,
     mean,
+    nearest_rank_percentile,
     percentile,
     stddev,
     variance,
@@ -34,6 +35,7 @@ __all__ = [
     "ecdf",
     "jitter",
     "mean",
+    "nearest_rank_percentile",
     "percentile",
     "stddev",
     "variance",

@@ -53,6 +53,19 @@ def percentile(xs: Sequence[float], p: float) -> float:
     return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
 
 
+def nearest_rank_percentile(xs: Sequence[float], p: float) -> float:
+    """The sample at rank ``round(p / 100 * (n - 1))``; 0.0 when empty.
+
+    The fleet, SLO and scale experiments report latency percentiles this
+    way, so every reported value is one that was actually observed.
+    """
+    if not xs:
+        return 0.0
+    ordered = sorted(xs)
+    rank = int(round(p / 100.0 * (len(ordered) - 1)))
+    return ordered[min(rank, len(ordered) - 1)]
+
+
 @dataclass(frozen=True)
 class Summary:
     """A min/avg/max/count summary, as in the paper's memory-latency table."""

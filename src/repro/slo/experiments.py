@@ -32,10 +32,11 @@ and warm-cache runs on either kernel.
 from __future__ import annotations
 
 from functools import partial
-from typing import List, Tuple
+from typing import Tuple
 
 from ..core.registry import experiment
 from ..core.report import format_series, format_table, write_csv
+from ..sim.stats import nearest_rank_percentile
 
 #: ``slo_burst`` probe budget: the paper's 10 ms computing threshold.
 BURST_BUDGET_MS = 10.0
@@ -100,15 +101,6 @@ FLEET_BUDGET_MS = 30.0
 WARMUP_MS = 1_500.0
 MEASURE_MS = 4_000.0
 FLEET_MEASURE_MS = 10_000.0
-
-
-def _percentile(samples: List[float], pct: float) -> float:
-    """Nearest-rank percentile of *samples* (0.0 when empty)."""
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    rank = int(round(pct / 100.0 * (len(ordered) - 1)))
-    return ordered[min(rank, len(ordered) - 1)]
 
 
 def _slo_burst_point(
@@ -256,8 +248,8 @@ def _slo_chaos_point(
     return (
         len(uncorrected),
         len(corrected),
-        _percentile(uncorrected, 99.0),
-        _percentile(corrected, 99.0),
+        nearest_rank_percentile(uncorrected, 99.0),
+        nearest_rank_percentile(corrected, 99.0),
         tracker.violation_rate,
         tracker.budget_burn,
         sum(s.missed_ticks for s in fleet.sessions.values()),
@@ -309,8 +301,8 @@ def _slo_fleet_point(
     )
     corrected = sorted(fleet.corrected_latencies_ms())
     return (
-        _percentile(corrected, 99.0),
-        _percentile(corrected, 99.9),
+        nearest_rank_percentile(corrected, 99.0),
+        nearest_rank_percentile(corrected, 99.9),
         tracker.budget_burn,
         tracker.worst_window_burn(),
         fleet.migrations,

@@ -13,8 +13,8 @@ from repro.fleet.experiments import (
     PLACEMENT_POLICIES_ORDER,
     _fleet_capacity_point,
     _fleet_placement_point,
-    _percentile,
 )
+from repro.sim.stats import nearest_rank_percentile as _percentile
 
 
 def run_cli(*argv):

@@ -13,6 +13,7 @@ from repro.sim import (
     cumulative_latency_by_duration,
     ecdf,
     mean,
+    nearest_rank_percentile,
     percentile,
     stddev,
     variance,
@@ -62,6 +63,27 @@ def test_percentile_bounded_by_min_max(xs):
     for p in (0, 25, 50, 75, 100):
         value = percentile(xs, p)
         assert min(xs) - 1e-9 <= value <= max(xs) + 1e-9
+
+
+def test_nearest_rank_percentile_known_values():
+    assert nearest_rank_percentile([], 99.0) == 0.0
+    assert nearest_rank_percentile([4.0, 1.0, 3.0, 2.0], 50.0) == 3.0  # rank 2
+    assert nearest_rank_percentile([4.0, 1.0, 3.0, 2.0], 0.0) == 1.0
+    assert nearest_rank_percentile([4.0, 1.0, 3.0, 2.0], 100.0) == 4.0
+
+
+@given(
+    st.lists(floats, min_size=1, max_size=50),
+    st.floats(min_value=0.0, max_value=100.0),
+)
+def test_nearest_rank_percentile_is_a_neighbouring_sample(xs, p):
+    # Always an observed value, and one of the two samples the
+    # interpolating percentile blends at the same rank.
+    ordered = sorted(xs)
+    rank = p / 100.0 * (len(ordered) - 1)
+    value = nearest_rank_percentile(xs, p)
+    assert value in (ordered[math.floor(rank)], ordered[math.ceil(rank)])
+    assert min(xs) <= value <= max(xs)
 
 
 @given(st.lists(floats, min_size=1, max_size=50))
