@@ -298,11 +298,6 @@ def main(argv=None) -> int:
         help="re-run the suite; fail on budget, flatness, or speedup loss",
     )
     args = parser.parse_args(argv)
-    if os.environ.get("REPRO_KERNEL", "fast") not in ("", "fast"):
-        parser.error(
-            "benchmarks must run with the optimized kernel selected "
-            "(unset REPRO_KERNEL)"
-        )
     if args.check:
         return check_bench(args.check)
     return write_bench(args.out)

@@ -34,8 +34,7 @@ ProgressSink = Union[Callable[[str], None], Any]
 
 #: Observation sinks receive ``(sweep_name, [per-point snapshots])`` after
 #: each observed sweep, snapshots in parameter-index order.  Snapshots are
-#: :class:`~repro.obs.CompactSnapshot` instances (columnar transport form)
-#: or, under the reference recorder, classic snapshot dicts.
+#: :class:`~repro.obs.CompactSnapshot` instances (columnar transport form).
 ObserveSink = Callable[[str, List[Any]], None]
 
 

@@ -43,6 +43,16 @@ from .packet import Packet
 DEFAULT_REORDER_HOLD_MS = 2.0
 
 
+def _number(key: str, value: str, text: str) -> float:
+    """*text* (all or part of a ``--faults`` item's *value*) as a float."""
+    try:
+        return float(text)
+    except ValueError:
+        raise NetworkError(
+            f"{key} value {value!r} is not a number"
+        ) from None
+
+
 @dataclass(frozen=True)
 class PacketFate:
     """The fault decision for one offered packet, fully precomputable."""
@@ -144,11 +154,13 @@ class FaultPlan:
                     raise NetworkError(
                         f"bad outage {value!r}; expected start-end in ms"
                     )
-                outages.append((float(start), float(end)))
+                outages.append(
+                    (_number(key, value, start), _number(key, value, end))
+                )
             elif key in ("loss", "burst_enter", "burst_exit", "burst_loss",
                          "corrupt", "reorder", "reorder_hold_ms",
                          "jitter_ms"):
-                kwargs[key] = float(value)
+                kwargs[key] = _number(key, value, value)
             else:
                 raise NetworkError(f"unknown --faults key {key!r}")
         return cls(outages=tuple(outages), **kwargs)

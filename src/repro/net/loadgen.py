@@ -31,9 +31,10 @@ too.  All consume split-stable numpy PCG64 child streams, one per
 purpose, so drawing ticks in one batch or many produces identical values —
 ``tests/scale/test_batch_sampling.py`` pins that boundary invariance.
 
-numpy is deliberately a soft dependency: the per-event generators above
-never touch it, and the batch samplers import it lazily so the library
-core stays dependency-free.
+numpy is a declared runtime dependency (the hybrid-tier experiments need
+it), but it is imported lazily: the per-event generators above never touch
+it, so importing the package and running the per-event experiments does
+not pay numpy's import cost.
 """
 
 from __future__ import annotations
@@ -208,10 +209,10 @@ def _numpy():
     """Import numpy on demand; the per-event path never needs it."""
     try:
         import numpy
-    except ImportError as exc:  # pragma: no cover - numpy is baked into CI
+    except ImportError as exc:  # pragma: no cover - a declared dependency
         raise NetworkError(
-            "batch load sampling requires numpy; install it or use the "
-            "per-event generators"
+            "batch load sampling requires numpy, a declared dependency of "
+            "this package; reinstall it or use the per-event generators"
         ) from exc
     return numpy
 

@@ -45,7 +45,6 @@ from .tracer import (
     CompactSnapshot,
     NullTracer,
     Observation,
-    ReferenceTracer,
     Tracer,
     current_observation,
     observe,
@@ -62,7 +61,6 @@ __all__ = [
     "NullTracer",
     "ObservabilityError",
     "Observation",
-    "ReferenceTracer",
     "RunObservations",
     "Tracer",
     "bucket_quantile",

@@ -35,16 +35,10 @@ The executor's process backend runs each sweep point in a worker that opens
 its own observation around the point function, so snapshots ship back to the
 parent exactly as a serial run would have produced them — in columnar form,
 zlib-compressed when large, reconstructed on demand.
-
-``REPRO_OBS=reference`` selects :class:`ReferenceTracer`, the seed
-dict-per-event recorder kept as the differential baseline: property tests
-assert the two recorders keep identical events, drop behaviour, and bytes,
-and ``benchmarks/perf/bench_obs.py`` prices the difference.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 import sys
 import zlib
@@ -56,11 +50,6 @@ from .metrics import MetricsRegistry, ObservabilityError
 #: Default cap on recorded events per observation.  Dropping is deterministic
 #: (always the tail) and counted, so capped traces still compare byte-for-byte.
 DEFAULT_MAX_EVENTS = 100_000
-
-#: Which recorder :class:`Observation` builds: ``"columnar"`` (the default)
-#: or ``"reference"`` (the seed dict recorder, for differential testing and
-#: overhead benchmarks).  Seeded from ``REPRO_OBS``; tests may rebind it.
-RECORDER = os.environ.get("REPRO_OBS", "columnar")
 
 #: Compact snapshots whose pickled event payload reaches this many bytes are
 #: shipped zlib-compressed across the executor's process/cache boundary.
@@ -93,7 +82,7 @@ def _materialize_events(
     ``order`` holds one column index per event in emission order; a cursor
     per column walks its rows, so interleaved shapes reconstruct exactly.
     ``t``/``kind`` are written last so they win over a (pathological) field
-    reusing those names, exactly as the reference recorder resolves it.
+    reusing those names, exactly as the seed dict-per-event recorder did.
     """
     cursors = [0] * len(columns)
     events: List[Dict[str, Any]] = []
@@ -302,53 +291,6 @@ class Tracer:
         return self._count
 
 
-class ReferenceTracer:
-    """The seed dict-per-event recorder, kept verbatim as the baseline.
-
-    ``REPRO_OBS=reference`` routes every :class:`Observation` through this
-    recorder (and, downstream, the per-event ``json.dumps`` encoder), so the
-    columnar pipeline can be differentially tested against it and its cost
-    measured by ``benchmarks/perf/bench_obs.py``.
-    """
-
-    __slots__ = ("events", "max_events", "dropped")
-
-    def __init__(self, max_events: int = DEFAULT_MAX_EVENTS) -> None:
-        if max_events < 0:
-            raise ObservabilityError("max_events cannot be negative")
-        self.events: List[Dict[str, Any]] = []
-        self.max_events = max_events
-        self.dropped = 0
-
-    def emit(self, t: float, kind: str, **fields: Any) -> None:
-        """Record one event at simulation time *t* (ms)."""
-        events = self.events
-        if len(events) >= self.max_events:
-            self.dropped += 1
-            return
-        fields["t"] = t
-        fields["kind"] = kind
-        events.append(fields)
-
-    def channel(self, kind: str, *names: str) -> Callable[..., None]:
-        """Positional appender matching :meth:`Tracer.channel` semantics."""
-
-        def append(t: float, *values: Any) -> None:
-            events = self.events
-            if len(events) >= self.max_events:
-                self.dropped += 1
-                return
-            event = dict(zip(names, values))
-            event["t"] = t
-            event["kind"] = kind
-            events.append(event)
-
-        return append
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-
 class NullTracer(Tracer):
     """A tracer that records nothing — explicit-injection no-op.
 
@@ -378,10 +320,7 @@ class Observation:
     __slots__ = ("tracer", "metrics", "trace")
 
     def __init__(self, max_events: int = DEFAULT_MAX_EVENTS) -> None:
-        if RECORDER == "reference":
-            self.tracer: Any = ReferenceTracer(max_events=max_events)
-        else:
-            self.tracer = Tracer(max_events=max_events)
+        self.tracer = Tracer(max_events=max_events)
         self.metrics = MetricsRegistry()
         #: Shorthand for ``self.tracer.emit(...)`` — bound directly so the
         #: per-event cost on the traced path is one call, not a delegating
@@ -406,16 +345,9 @@ class Observation:
             "metrics": self.metrics.snapshot(),
         }
 
-    def snapshot_compact(self) -> Any:
-        """The observed record in columnar transport form.
-
-        Returns a :class:`CompactSnapshot` for the columnar recorder; the
-        reference recorder has no columnar form and returns the classic
-        snapshot dict (every downstream consumer accepts both).
-        """
+    def snapshot_compact(self) -> CompactSnapshot:
+        """The observed record in columnar transport form."""
         tracer = self.tracer
-        if type(tracer) is ReferenceTracer:
-            return self.snapshot()
         return CompactSnapshot(
             tracer.snapshot_columns(),
             tracer.snapshot_order(),

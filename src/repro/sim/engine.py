@@ -40,16 +40,10 @@ fired from cancelled from live entries exactly.
 Observation hooks are bound once at construction: with tracing off every
 hook is a single ``is None`` test, so the untraced hot loop pays one pointer
 test per event.
-
-``REPRO_KERNEL=reference`` in the environment (read at import time) swaps
-in the frozen seed kernel from :mod:`repro.sim.engine_reference`; the
-differential-equivalence suite proves the two produce byte-identical
-experiment artifacts.
 """
 
 from __future__ import annotations
 
-import os
 from functools import partial
 from heapq import heappop, heappush
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
@@ -58,10 +52,6 @@ from ..errors import SimulationError
 from ..obs import current_observation
 
 Action = Callable[[], Any]
-
-#: Which kernel implementation this module exports: ``"fast"`` (default) or
-#: ``"reference"`` (the frozen seed kernel, via ``REPRO_KERNEL=reference``).
-KERNEL = os.environ.get("REPRO_KERNEL", "fast").strip().lower() or "fast"
 
 
 class Event:
@@ -526,20 +516,3 @@ def all_of(sim: Simulator, signals: Iterable[Signal]) -> Signal:
         sig.add_waiter(make_waiter(i))
     return combined
 
-
-if KERNEL == "reference":
-    # The frozen seed kernel, selected via REPRO_KERNEL=reference.  Shadowing
-    # the names here means every `from repro.sim.engine import ...` in the
-    # package transparently gets the reference implementations.
-    from .engine_reference import (  # noqa: F811
-        Event,
-        PeriodicTask,
-        Process,
-        Signal,
-        Simulator,
-        all_of,
-    )
-elif KERNEL != "fast":
-    raise SimulationError(
-        f"unknown REPRO_KERNEL {KERNEL!r}; expected 'fast' or 'reference'"
-    )

@@ -75,55 +75,6 @@ class TestPointFunctions:
         assert pred_r > 0 and sim_r > 0
 
 
-class TestArtifactIdentity:
-    """The analytic sweeps honor the repo's executor-identity contract."""
-
-    def read_all(self, directory):
-        out = {}
-        for name in sorted(os.listdir(directory)):
-            with open(os.path.join(directory, name), "rb") as f:
-                out[name] = f.read()
-        return out
-
-    def test_link_identical_serial_parallel_and_cached(self, tmp_path):
-        cache = str(tmp_path / "cache")
-        code, serial = run_cli(
-            "run", "analytic_link", "--seed", "1",
-            "--csv", str(tmp_path / "a"), "--cache-dir", cache,
-        )
-        assert code == 0
-        code, parallel = run_cli(
-            "run", "analytic_link", "--seed", "1", "--jobs", "4",
-            "--csv", str(tmp_path / "b"),
-        )
-        assert code == 0
-        code, warm = run_cli(
-            "run", "analytic_link", "--seed", "1",
-            "--csv", str(tmp_path / "c"), "--cache-dir", cache,
-        )
-        assert code == 0
-        assert serial == parallel == warm
-        assert (
-            self.read_all(tmp_path / "a")
-            == self.read_all(tmp_path / "b")
-            == self.read_all(tmp_path / "c")
-        )
-
-    def test_closed_trace_artifacts_stable_across_jobs(self, tmp_path):
-        code, serial = run_cli(
-            "trace", "analytic_closed", "--seed", "1",
-            "--trace-dir", str(tmp_path / "a"),
-        )
-        assert code == 0
-        code, parallel = run_cli(
-            "trace", "analytic_closed", "--seed", "1", "--jobs", "4",
-            "--trace-dir", str(tmp_path / "b"),
-        )
-        assert code == 0
-        assert serial == parallel
-        assert self.read_all(tmp_path / "a") == self.read_all(tmp_path / "b")
-
-
 class TestOutputShape:
     def test_link_overlay_covers_the_rho_grid(self, tmp_path):
         code, text = run_cli(

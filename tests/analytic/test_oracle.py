@@ -1,17 +1,13 @@
 """The analytic oracle: simulation must agree with queueing theory.
 
-The differential-equivalence suites prove the optimized kernel matches the
-frozen reference byte-for-byte; this suite is the *independent* check that
-either of them matches reality.  Every property asserts a simulated point
-agrees with its closed-form prediction within :data:`TOLERANCE` in the
-light-traffic regime (station utilization <= 0.5), where the models'
-assumptions hold and finite windows sample tightly.
-
-The suite runs on whichever kernel/recorder the process imported
-(``REPRO_KERNEL`` / ``REPRO_OBS``); the CI ``analytic-oracle`` job runs it
-under every combination, so a future perf PR that changes simulated
-*behaviour* — not just speed — fails here even if it updates both kernels
-consistently.
+The artifact-digest manifest (``tests/golden/artifacts.json``) proves the
+kernel's output never drifts byte-for-byte; this suite is the
+*independent* check that it matches reality.  Every property asserts a
+simulated point agrees with its closed-form prediction within
+:data:`TOLERANCE` in the light-traffic regime (station utilization <= 0.5),
+where the models' assumptions hold and finite windows sample tightly.  A
+change that alters simulated *behaviour* and regenerates the manifest
+still fails here if the new behaviour is wrong.
 
 Determinism: every example derives its RNG seed from its own parameters,
 so hypothesis re-runs and CI shards see identical sample paths; windows
@@ -43,7 +39,6 @@ light_rhos = st.floats(min_value=0.1, max_value=0.5)
 service_scales = st.floats(min_value=0.5, max_value=20.0)
 
 oracle_settings = settings(
-    deadline=None,
     max_examples=8,
     suppress_health_check=[HealthCheck.too_slow],
 )
@@ -134,9 +129,8 @@ class TestLinkOracle:
     def test_agrees_under_observation_too(self):
         """The instrumented link path obeys the same physics.
 
-        Runs the comparison inside an observation so the recorder selected
-        by ``REPRO_OBS`` is on the hot path; the CI matrix runs this under
-        both recorders and both kernels.
+        Runs the comparison inside an observation so the recorder is on
+        the hot path.
         """
         with observe():
             rows, __ = compare_link_probe(

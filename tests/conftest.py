@@ -1,6 +1,6 @@
 """Shared pytest configuration.
 
-Adds ``--update-goldens`` for the golden-trace suite (see
+Adds ``--update-goldens`` for the golden suites (see
 ``tests/golden/README.md``): run
 
     PYTHONPATH=src python -m pytest tests/golden --update-goldens
@@ -8,15 +8,17 @@ Adds ``--update-goldens`` for the golden-trace suite (see
 after an intentional behaviour change to rewrite the committed goldens,
 then review the diff like any other code change.
 
-Also loads the suite's default Hypothesis profile.  It has no deadline:
-a property test's wall time says nothing about its correctness, and a GC
-pause on a loaded host must not fail it.  A test's own ``@settings``
-still override the profile field by field.
+Also loads the suite's one Hypothesis profile.  It has no deadline: a
+property test's wall time says nothing about its correctness, and a GC
+pause on a loaded host must not fail it.  It is derandomized: every run
+draws the same examples (which also turns off the example database), so
+a failure reproduces on the next run.  A test's own ``@settings`` still
+override the profile field by field.
 """
 
 from hypothesis import settings
 
-settings.register_profile("repro", deadline=None)
+settings.register_profile("repro", deadline=None, derandomize=True)
 settings.load_profile("repro")
 
 

@@ -23,39 +23,6 @@ class TestList:
         for name in EXPERIMENTS:
             assert name in text
 
-    def test_registry_covers_all_figures_and_tables(self):
-        figs = {f"fig{i}" for i in range(1, 10)}
-        tabs = {"tab-mem", "tab-sessions", "tab-proto", "tab-setup"}
-        extras = {
-            "chaos",
-            "fleet_capacity",
-            "fleet_placement",
-            "analytic_link",
-            "analytic_closed",
-            "slo_burst",
-            "slo_chaos_grid",
-            "slo_fleet",
-            "scale_load_curve",
-            "scale_closed_curve",
-            "scale_fleet",
-            "scale_closed_fleet",
-        }
-        assert figs | tabs | extras == set(EXPERIMENTS)
-
-    def test_run_all_keeps_paper_experiments_first(self):
-        """Registration appends new groups, never reorders the paper set.
-
-        ``run all`` executes in registry order, and sweep cache keys embed
-        that order's experiment names — so the historical sequence is part
-        of the compatibility surface.
-        """
-        names = list(EXPERIMENTS)
-        legacy = (
-            [f"fig{i}" for i in range(1, 10)]
-            + ["chaos", "tab-mem", "tab-sessions", "tab-proto", "tab-setup"]
-        )
-        assert names[: len(legacy)] == legacy
-
     def test_list_shows_group_headers(self):
         code, text = run_cli("list")
         assert code == 0
@@ -64,6 +31,14 @@ class TestList:
 
 
 class TestRun:
+    @pytest.mark.parametrize(
+        "spec", ["loss=abc", "outage=a-b", "teleport=0.5", "loss"]
+    )
+    def test_bad_faults_spec_exits_2(self, spec):
+        code, text = run_cli("run", "fig1", "--faults", spec)
+        assert code == 2
+        assert text.startswith("bad --faults spec: ")
+
     def test_unknown_experiment_exits_2(self):
         code, text = run_cli("run", "nope")
         assert code == 2
@@ -167,6 +142,25 @@ class TestExecutorRouting:
         run_cli("run", "fig3", "--seed", "2", "--cache-dir", cache)
         __, cached = run_cli("run", "fig3", "--seed", "2", "--cache-dir", cache)
         assert cached == uncached
+
+    def test_faulted_sweep_caches_separately_from_the_clean_sweep(self, tmp_path):
+        """A fault plan is part of the cache key: a faulted fig8 run into a
+        warm clean cache recomputes, and the clean entries stay intact."""
+        cache = str(tmp_path / "cache")
+
+        def fig8(label, *faults):
+            csv_dir = tmp_path / label
+            code, text = run_cli(
+                "run", "fig8", "--cache-dir", cache, "--csv", str(csv_dir),
+                *faults,
+            )
+            assert code == 0
+            return text, self.read_all_csvs(csv_dir)
+
+        clean = fig8("clean")
+        faulted = fig8("faulted", "--faults", "loss=0.05", "--fault-seed", "3")
+        assert fig8("clean2") == clean
+        assert faulted[1] != clean[1]
 
     def test_bad_jobs_rejected(self):
         code, text = run_cli("run", "fig3", "--jobs", "0")

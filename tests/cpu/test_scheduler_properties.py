@@ -82,7 +82,7 @@ def run_workload(make_scheduler, per_thread, flags):
     return sim, cpu, threads, completed, expected
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(workloads, st.lists(thread_flags, min_size=1, max_size=5))
 @pytest.mark.parametrize("name", sorted(SCHEDULERS))
 def test_all_bursts_complete_and_time_is_conserved(name, per_thread, flags):
@@ -104,7 +104,7 @@ def test_all_bursts_complete_and_time_is_conserved(name, per_thread, flags):
     assert charged == pytest.approx(total_demand, abs=1e-6)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(workloads)
 @pytest.mark.parametrize("name", sorted(SCHEDULERS))
 def test_work_conservation(name, per_thread):
@@ -120,7 +120,7 @@ def test_work_conservation(name, per_thread):
     assert max(completed) <= last_arrival + total_demand + 1e-6
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(workloads, st.lists(thread_flags, min_size=1, max_size=5))
 def test_nt_priorities_stay_in_range(per_thread, flags):
     sim = Simulator()
@@ -148,7 +148,7 @@ def test_nt_priorities_stay_in_range(per_thread, flags):
     sim.run_until(2_000.0)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(workloads)
 def test_svr4_priorities_stay_in_range(per_thread):
     sim = Simulator()

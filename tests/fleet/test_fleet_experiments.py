@@ -2,9 +2,6 @@
 
 import csv
 import io
-import os
-
-import pytest
 
 from repro.cli import main
 from repro.fleet.experiments import (
@@ -74,57 +71,6 @@ class TestPointFunctions:
             for policy in ("least_loaded", "session_affinity")
         }
         assert len(set(results.values())) == len(results)
-
-
-class TestArtifactIdentity:
-    """The fleet sweeps honor the repo's executor-identity contract."""
-
-    def read_all(self, directory):
-        out = {}
-        for name in sorted(os.listdir(directory)):
-            with open(os.path.join(directory, name), "rb") as f:
-                out[name] = f.read()
-        return out
-
-    def test_placement_identical_serial_parallel_and_cached(self, tmp_path):
-        cache = str(tmp_path / "cache")
-        code, serial = run_cli(
-            "run", "fleet_placement", "--seed", "1",
-            "--csv", str(tmp_path / "a"), "--cache-dir", cache,
-        )
-        assert code == 0
-        code, parallel = run_cli(
-            "run", "fleet_placement", "--seed", "1", "--jobs", "4",
-            "--csv", str(tmp_path / "b"),
-        )
-        assert code == 0
-        code, warm = run_cli(
-            "run", "fleet_placement", "--seed", "1",
-            "--csv", str(tmp_path / "c"), "--cache-dir", cache,
-        )
-        assert code == 0
-        assert serial == parallel == warm
-        assert (
-            self.read_all(tmp_path / "a")
-            == self.read_all(tmp_path / "b")
-            == self.read_all(tmp_path / "c")
-        )
-
-    def test_capacity_trace_artifacts_stable_across_jobs(self, tmp_path):
-        code, serial = run_cli(
-            "trace", "fleet_capacity", "--seed", "1",
-            "--trace-dir", str(tmp_path / "a"),
-        )
-        assert code == 0
-        code, parallel = run_cli(
-            "trace", "fleet_capacity", "--seed", "1", "--jobs", "4",
-            "--trace-dir", str(tmp_path / "b"),
-        )
-        assert code == 0
-        assert serial == parallel
-        assert self.read_all(tmp_path / "a") == self.read_all(tmp_path / "b")
-        assert "fleet.admitted" in serial
-        assert "fleet.session_latency_ms" in serial
 
 
 class TestOutputShape:

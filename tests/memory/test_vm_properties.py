@@ -59,7 +59,7 @@ touch_sequences = st.lists(
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(touch_sequences)
 def test_vm_matches_reference_lru(touches):
     pool = FramePool(POOL_FRAMES * 4096)
@@ -82,7 +82,7 @@ def test_vm_matches_reference_lru(touches):
     assert vm.total_evictions == reference.evictions
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(touch_sequences)
 def test_vm_conservation_invariants(touches):
     pool = FramePool(POOL_FRAMES * 4096)
@@ -103,7 +103,7 @@ def test_vm_conservation_invariants(touches):
         assert vm.total_faults - vm.total_evictions == pool.used_frames
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(touch_sequences, st.sampled_from(["lru", "clock", "fifo"]))
 def test_all_policies_bound_residency(touches, policy):
     pool = FramePool(POOL_FRAMES * 4096)
@@ -119,7 +119,7 @@ def test_all_policies_bound_residency(touches, policy):
         assert space.resident_pages <= POOL_FRAMES
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(touch_sequences)
 def test_hit_latency_always_below_fault_latency(touches):
     pool = FramePool(POOL_FRAMES * 4096)

@@ -58,19 +58,19 @@ def schedule_digest(point):
 
 
 class TestScheduleDeterminism:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(plans, st.integers(min_value=1, max_value=200))
     def test_same_seed_same_schedule(self, plan, n):
         """Two independent iterations of the same plan agree exactly."""
         assert plan.schedule("ether0", n) == plan.schedule("ether0", n)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(plans, st.integers(min_value=1, max_value=100))
     def test_schedule_is_prefix_stable(self, plan, n):
         """Asking for more fates never rewrites the ones already drawn."""
         assert plan.schedule("ether0", 2 * n)[:n] == plan.schedule("ether0", n)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(plans)
     def test_spec_round_trips(self, plan):
         """parse(spec()) reproduces the plan — and hence its schedule."""
@@ -107,7 +107,7 @@ class TestScheduleDeterminism:
 
 
 class TestConservationLaw:
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(
         plans,
         st.integers(min_value=1, max_value=120),
@@ -129,7 +129,7 @@ class TestConservationLaw:
         )
         assert link.fault_in_flight == 0
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(plans, st.integers(min_value=1, max_value=60))
     def test_conservation_holds_with_bounded_queue(self, plan, n):
         """Device tail drops are drops in fate accounting too."""
@@ -151,7 +151,7 @@ class TestConservationLaw:
 
 
 class TestPlanValidation:
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(
         st.sampled_from(
             ["loss", "burst_enter", "burst_exit", "burst_loss", "corrupt", "reorder"]
@@ -201,7 +201,7 @@ class TestPlanValidation:
         assert not plan.outage_at(25.0)
         assert plan.outage_at(35.0)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(plans)
     def test_fates_never_mark_lost_and_corrupt_together(self, plan):
         for fate in plan.schedule("ether0", 200):

@@ -11,7 +11,11 @@ The contract under test, in order of importance:
 """
 
 import json
+import re
 
+import pytest
+
+from repro.errors import NetworkError
 from repro.net import (
     DEFAULT_REORDER_HOLD_MS,
     FaultPlan,
@@ -81,6 +85,30 @@ class TestNoFaultByteIdentity:
         # Steady clock, no jitter: latencies flat to float rounding.
         spread = max(result.latencies_ms) - min(result.latencies_ms)
         assert spread < 1e-9
+
+
+class TestParseValues:
+    """A non-numeric value is a spec error naming its key, not a crash."""
+
+    @pytest.mark.parametrize(
+        "spec, key, value",
+        [
+            ("loss=abc", "loss", "abc"),
+            ("jitter_ms=", "jitter_ms", ""),
+            ("corrupt=0.01,reorder=x1", "reorder", "x1"),
+            ("outage=a-2000", "outage", "a-2000"),
+            ("outage=1000-b", "outage", "1000-b"),
+        ],
+    )
+    def test_non_numeric_value_raises_network_error(self, spec, key, value):
+        message = re.escape(f"{key} value {value!r} is not a number")
+        with pytest.raises(NetworkError, match=message):
+            FaultPlan.parse(spec)
+
+    def test_numeric_values_still_parse(self):
+        plan = FaultPlan.parse("loss=0.05,outage=5000-6000")
+        assert plan.loss == 0.05
+        assert plan.outages == ((5000.0, 6000.0),)
 
 
 class TestFaultMechanisms:

@@ -17,7 +17,7 @@ packet_plans = st.lists(
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(packet_plans)
 def test_fifo_delivery_order(plans):
     """Packets enqueued earlier are always delivered no later."""
@@ -45,7 +45,7 @@ def test_fifo_delivery_order(plans):
     assert seqs == sorted(seqs)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(packet_plans)
 def test_byte_conservation_and_capacity(plans):
     """Every byte offered is eventually sent, and never faster than the
@@ -64,7 +64,7 @@ def test_byte_conservation_and_capacity(plans):
     assert last_complete >= first + total / 1250.0 - 1e-6
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(packet_plans)
 def test_delivery_never_precedes_transmission(plans):
     sim = Simulator()

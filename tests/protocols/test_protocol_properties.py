@@ -70,7 +70,7 @@ op_steps = st.lists(st.lists(display_ops, max_size=5), max_size=10)
 event_steps = st.lists(st.lists(input_events, max_size=5), max_size=10)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(op_steps, event_steps)
 @pytest.mark.parametrize("name", ALL_PROTOCOLS)
 def test_encoded_messages_are_well_formed(name, ops_per_step, events_per_step):
@@ -87,7 +87,7 @@ def test_encoded_messages_are_well_formed(name, ops_per_step, events_per_step):
         assert message.payload_bytes > 0
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(op_steps)
 def test_lbx_display_payload_never_exceeds_x(ops_per_step):
     """Compression plus small per-chunk headers still beats raw X."""
@@ -103,7 +103,7 @@ def test_lbx_display_payload_never_exceeds_x(ops_per_step):
     assert lbx_total <= x_total
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(op_steps, st.integers(min_value=1, max_value=8))
 def test_rdp_order_bytes_conserved_across_batching(ops_per_step, flush_steps):
     """Order bytes in == (message payloads - PDU headers) out, exactly,
@@ -127,7 +127,7 @@ def test_rdp_order_bytes_conserved_across_batching(ops_per_step, flush_steps):
     assert total_payload(reference) == total_payload(batched)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(st.lists(input_events, min_size=1, max_size=200))
 def test_rdp_input_batch_conserves_events(events):
     """Every input event appears in exactly one flushed input PDU."""
@@ -140,7 +140,7 @@ def test_rdp_input_batch_conserves_events(events):
     assert carried == len(events)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(st.lists(display_ops, min_size=1, max_size=30))
 def test_x_requests_padded_and_bounded(ops):
     x = XProtocol()

@@ -40,7 +40,6 @@ from repro.net.loadgen import (
 
 COMMON = dict(
     suppress_health_check=[HealthCheck.too_slow],
-    deadline=None,
     max_examples=25,
 )
 

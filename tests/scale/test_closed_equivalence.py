@@ -19,14 +19,9 @@ not the signal:
   than the probes'.
 * **Shared probe stream** — both modes draw probe times from the same
   named stream: identical sample counts, seed for seed.
-* **Purity** — a point is a pure function of (parameters, seed); kernel
-  and recorder toggles change nothing (subprocess matrix, toggles bind
-  at import).
+* **Purity** — a point is a pure function of (parameters, seed).
 """
 
-import os
-import subprocess
-import sys
 from functools import lru_cache
 
 import pytest
@@ -139,35 +134,6 @@ class TestPurity:
         a = run_closed_curve_point(1_000, duration_ms=5_000.0, seed=3)
         b = run_closed_curve_point(1_000, duration_ms=5_000.0, seed=4)
         assert a != b
-
-    @pytest.mark.parametrize("kernel", ["", "reference"])
-    @pytest.mark.parametrize("recorder", ["", "reference"])
-    def test_kernel_and_recorder_leave_every_field_alone(
-        self, kernel, recorder
-    ):
-        """The toggles bind at import, so each variant is a subprocess."""
-        expected = repr(
-            run_closed_curve_point(1_000, duration_ms=5_000.0, seed=9)
-        )
-        env = {**os.environ, "PYTHONPATH": "src"}
-        if kernel:
-            env["REPRO_KERNEL"] = kernel
-        if recorder:
-            env["REPRO_OBS"] = recorder
-        code = (
-            "from repro.scale.hybrid import run_closed_curve_point\n"
-            "print(repr(run_closed_curve_point("
-            "1_000, duration_ms=5_000.0, seed=9)))\n"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd=os.path.join(os.path.dirname(__file__), "..", ".."),
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == expected
 
 
 class TestValidation:

@@ -12,8 +12,7 @@ are affordable (N = 32 users, the exact tier's comfortable range):
 * **Shared probe stream** — both modes draw probe times from the same
   named stream, so the sample *count* matches exactly, seed for seed.
 * **Purity** — a point is a pure function of (parameters, seed): same
-  seed, same observation object; the kernel and recorder toggles do not
-  change a single field (subprocess matrix, toggles bind at import).
+  seed, same observation object.
 
 Tolerances are deliberately asymmetric with the suite's purpose: tight
 enough to catch a broken integrator (the fluid tier off by a tick width
@@ -21,9 +20,6 @@ shifts p99 by 2x at these loads), loose enough to pass forever on the
 pinned seeds.
 """
 
-import os
-import subprocess
-import sys
 from functools import lru_cache
 
 import pytest
@@ -114,35 +110,6 @@ class TestPurity:
         a = run_load_curve_point(1_000, duration_ms=5_000.0, seed=3)
         b = run_load_curve_point(1_000, duration_ms=5_000.0, seed=4)
         assert a != b
-
-    @pytest.mark.parametrize("kernel", ["", "reference"])
-    @pytest.mark.parametrize("recorder", ["", "reference"])
-    def test_kernel_and_recorder_leave_every_field_alone(
-        self, kernel, recorder
-    ):
-        """The toggles bind at import, so each variant is a subprocess."""
-        expected = repr(
-            run_load_curve_point(1_000, duration_ms=5_000.0, seed=9)
-        )
-        env = {**os.environ, "PYTHONPATH": "src"}
-        if kernel:
-            env["REPRO_KERNEL"] = kernel
-        if recorder:
-            env["REPRO_OBS"] = recorder
-        code = (
-            "from repro.scale.hybrid import run_load_curve_point\n"
-            "print(repr(run_load_curve_point("
-            "1_000, duration_ms=5_000.0, seed=9)))\n"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd=os.path.join(os.path.dirname(__file__), "..", ".."),
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == expected
 
 
 class TestValidation:

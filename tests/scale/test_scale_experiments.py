@@ -8,15 +8,12 @@ recorder invariance, and CSV artifacts that cover the whole grid.
 
 import csv
 import io
-import os
-import subprocess
-import sys
 
 import pytest
 
 pytest.importorskip("numpy")
 
-from repro.cli import EXPERIMENTS, main
+from repro.cli import main
 from repro.core.registry import REGISTRY
 from repro.core.server import ServerConfig
 from repro.errors import FleetError
@@ -82,10 +79,6 @@ def small_closed_spec(**overrides):
 
 
 class TestRegistration:
-    def test_scale_experiments_close_the_registry(self):
-        names = list(EXPERIMENTS)
-        assert names[-4:] == SCALE_NAMES
-
     def test_group_and_titles(self):
         for name in SCALE_NAMES:
             assert REGISTRY[name].group == "scale"
@@ -204,122 +197,6 @@ class TestFleetIntegration:
         assert report["background_users"] == 2_000
         assert report["background_keys_per_s"] > 0.0
         assert report["background_backlog_ms"] >= 0.0
-
-
-class TestArtifactIdentity:
-    """The scale sweeps honor the repo's executor-identity contract."""
-
-    def read_all(self, directory):
-        out = {}
-        for name in sorted(os.listdir(directory)):
-            with open(os.path.join(directory, name), "rb") as f:
-                out[name] = f.read()
-        return out
-
-    def test_fleet_identical_serial_parallel_cold_and_warm(self, tmp_path):
-        cache = str(tmp_path / "cache")
-        code, serial = run_cli(
-            "run", "scale_fleet", "--seed", "1",
-            "--csv", str(tmp_path / "a"), "--cache-dir", cache,
-        )
-        assert code == 0
-        code, parallel = run_cli(
-            "run", "scale_fleet", "--seed", "1", "--jobs", "4",
-            "--csv", str(tmp_path / "b"),
-        )
-        assert code == 0
-        code, warm = run_cli(
-            "run", "scale_fleet", "--seed", "1",
-            "--csv", str(tmp_path / "c"), "--cache-dir", cache,
-        )
-        assert code == 0
-        assert serial == parallel == warm
-        assert (
-            self.read_all(tmp_path / "a")
-            == self.read_all(tmp_path / "b")
-            == self.read_all(tmp_path / "c")
-        )
-
-    def test_closed_curve_identical_serial_parallel_cold_and_warm(
-        self, tmp_path
-    ):
-        cache = str(tmp_path / "cache")
-        code, serial = run_cli(
-            "run", "scale_closed_curve", "--seed", "1",
-            "--csv", str(tmp_path / "a"), "--cache-dir", cache,
-        )
-        assert code == 0
-        code, parallel = run_cli(
-            "run", "scale_closed_curve", "--seed", "1", "--jobs", "4",
-            "--csv", str(tmp_path / "b"),
-        )
-        assert code == 0
-        code, warm = run_cli(
-            "run", "scale_closed_curve", "--seed", "1",
-            "--csv", str(tmp_path / "c"), "--cache-dir", cache,
-        )
-        assert code == 0
-        assert serial == parallel == warm
-        assert (
-            self.read_all(tmp_path / "a")
-            == self.read_all(tmp_path / "b")
-            == self.read_all(tmp_path / "c")
-        )
-
-    @pytest.fixture(scope="class")
-    def fleet_stdout(self):
-        code, expected = run_cli("run", "scale_fleet", "--seed", "5")
-        assert code == 0
-        return expected
-
-    @pytest.mark.parametrize("kernel", ["", "reference"])
-    @pytest.mark.parametrize("recorder", ["", "reference"])
-    def test_fleet_identical_across_kernel_and_recorder(
-        self, fleet_stdout, kernel, recorder
-    ):
-        """Every kernel x recorder combination prints the same bytes."""
-        env = {**os.environ, "PYTHONPATH": "src"}
-        if kernel:
-            env["REPRO_KERNEL"] = kernel
-        if recorder:
-            env["REPRO_OBS"] = recorder
-        result = subprocess.run(
-            [sys.executable, "-m", "repro", "run", "scale_fleet",
-             "--seed", "5"],
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd=os.path.join(os.path.dirname(__file__), "..", ".."),
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout == fleet_stdout
-
-    @pytest.fixture(scope="class")
-    def closed_curve_stdout(self):
-        code, expected = run_cli("run", "scale_closed_curve", "--seed", "5")
-        assert code == 0
-        return expected
-
-    @pytest.mark.parametrize("kernel", ["", "reference"])
-    @pytest.mark.parametrize("recorder", ["", "reference"])
-    def test_closed_curve_identical_across_kernel_and_recorder(
-        self, closed_curve_stdout, kernel, recorder
-    ):
-        env = {**os.environ, "PYTHONPATH": "src"}
-        if kernel:
-            env["REPRO_KERNEL"] = kernel
-        if recorder:
-            env["REPRO_OBS"] = recorder
-        result = subprocess.run(
-            [sys.executable, "-m", "repro", "run", "scale_closed_curve",
-             "--seed", "5"],
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd=os.path.join(os.path.dirname(__file__), "..", ".."),
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout == closed_curve_stdout
 
 
 class TestOutputShape:

@@ -11,7 +11,7 @@ times = st.lists(
 )
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(times)
 def test_events_fire_in_timestamp_order(schedule_times):
     sim = Simulator()
@@ -27,7 +27,7 @@ def test_events_fire_in_timestamp_order(schedule_times):
     assert len(fired) == len(schedule_times)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(times, times)
 def test_interleaved_scheduling_preserves_order(first_batch, second_batch):
     """Events scheduled from inside callbacks still fire in time order."""
@@ -52,7 +52,7 @@ def test_interleaved_scheduling_preserves_order(first_batch, second_batch):
     assert len(fired) == len(first_batch) + len(second_batch)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.lists(st.integers(min_value=0, max_value=59), max_size=60))
 def test_equal_time_events_fire_fifo(indices):
     """Ties at one timestamp break by scheduling order, always."""
@@ -64,7 +64,7 @@ def test_equal_time_events_fire_fifo(indices):
     assert fired == list(range(len(indices)))
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(times, st.sets(st.integers(min_value=0, max_value=59)))
 def test_cancellation_removes_exactly_the_cancelled(schedule_times, to_cancel):
     sim = Simulator()

@@ -9,21 +9,12 @@ the wheel's internal structures drain back to empty.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.obs import observe
-from repro.sim import engine, engine_reference
 from repro.sim.engine import Simulator
 
-KERNELS = [
-    pytest.param(engine, id="fast"),
-    pytest.param(engine_reference, id="reference"),
-]
 
-
-@pytest.mark.parametrize("mod", KERNELS)
-def test_cancelled_events_dropped_without_firing(mod):
-    sim = mod.Simulator()
+def test_cancelled_events_dropped_without_firing():
+    sim = Simulator()
     fired = []
     live = [sim.schedule_at(float(i), lambda i=i: fired.append(i)) for i in range(10)]
     dead = [sim.schedule_at(float(i), lambda: fired.append("dead")) for i in range(10)]
@@ -36,9 +27,8 @@ def test_cancelled_events_dropped_without_firing(mod):
     del live
 
 
-@pytest.mark.parametrize("mod", KERNELS)
-def test_pending_never_counts_cancelled_entries(mod):
-    sim = mod.Simulator()
+def test_pending_never_counts_cancelled_entries():
+    sim = Simulator()
     events = [sim.schedule_at(5.0, lambda: None) for _ in range(8)]
     assert sim.pending == 8
     for event in events[:5]:
@@ -61,10 +51,9 @@ def test_len_matches_pending_on_fast_kernel():
     assert len(sim) == 0
 
 
-@pytest.mark.parametrize("mod", KERNELS)
-def test_dispatch_counter_never_counts_cancelled_events(mod):
+def test_dispatch_counter_never_counts_cancelled_events():
     with observe() as obs:
-        sim = mod.Simulator()
+        sim = Simulator()
         for i in range(6):
             sim.schedule_at(float(i), lambda: None)
         for i in range(4):
@@ -75,7 +64,7 @@ def test_dispatch_counter_never_counts_cancelled_events(mod):
 
 
 def test_wheel_internals_drain_clean():
-    """After a full drain the fast kernel's wheel holds no garbage: no
+    """After a full drain the kernel's wheel holds no garbage: no
     leftover timestamps in the heap, no buckets, cancelled or otherwise."""
     sim = Simulator()
     for i in range(50):
@@ -102,11 +91,10 @@ def test_all_cancelled_bucket_is_discarded_by_step():
     assert sim.step() is False
 
 
-@pytest.mark.parametrize("mod", KERNELS)
-def test_cancel_from_within_same_timestamp_bucket(mod):
+def test_cancel_from_within_same_timestamp_bucket():
     """An action cancelling a later event at the *same* timestamp prevents
     that event from firing, even though both sit in one wheel bucket."""
-    sim = mod.Simulator()
+    sim = Simulator()
     fired = []
     victim = {}
 

@@ -1,24 +1,54 @@
-"""Property tests for the kernel's ordering invariants, on both kernels.
+"""Property tests for the kernel's ordering invariants.
 
-The optimized kernel replaced the seed's event heap with a hashed timer
-wheel (a heap of distinct timestamps plus FIFO buckets).  These properties
-pin the contract the experiments depend on — and run each invariant against
-*both* implementations, plus differentially (same random program, firing
-sequences must match exactly).
+The kernel keeps a hashed timer wheel (a heap of distinct timestamps plus
+FIFO buckets) instead of the seed's event heap.  These properties pin the
+contract the experiments depend on, and check it differentially: the same
+random program must fire identically on the kernel and on
+:class:`SortedListKernel`, the contract written out as a list kept sorted
+by ``(time, seq)``.
 """
 
 from __future__ import annotations
 
-import pytest
+import bisect
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import engine, engine_reference
+from repro.sim.engine import Process, Signal, Simulator
 
-KERNELS = [
-    pytest.param(engine, id="fast"),
-    pytest.param(engine_reference, id="reference"),
-]
+
+class _Entry(list):
+    """``[time, seq, action]``; cancelling clears the action."""
+
+    def cancel(self):
+        self[2] = None
+
+
+class SortedListKernel:
+    """The ordering oracle: fire in ``(time, seq)`` order, skip cancelled."""
+
+    def __init__(self):
+        self.now = 0.0
+        self._queue = []
+        self._seq = 0
+
+    def schedule_at(self, time, action):
+        entry = _Entry((time, self._seq, action))
+        self._seq += 1
+        bisect.insort(self._queue, entry)
+        return entry
+
+    def schedule(self, delay, action):
+        return self.schedule_at(self.now + delay, action)
+
+    def run_until(self, horizon):
+        while self._queue and self._queue[0][0] <= horizon:
+            self.now, _, action = self._queue.pop(0)
+            if action is not None:
+                action()
+        self.now = horizon
+
 
 # Millisecond-ish timestamps; bounded so run_until horizons stay cheap.
 times = st.floats(
@@ -26,12 +56,11 @@ times = st.floats(
 )
 
 
-@pytest.mark.parametrize("mod", KERNELS)
 @given(ts=st.lists(times, min_size=1, max_size=40))
-@settings(max_examples=100, deadline=None)
-def test_equal_timestamps_fire_in_schedule_order(mod, ts):
+@settings(max_examples=100)
+def test_equal_timestamps_fire_in_schedule_order(ts):
     """FIFO tie-break: (time, seq) order, stable for equal timestamps."""
-    sim = mod.Simulator()
+    sim = Simulator()
     fired = []
     for i, t in enumerate(ts):
         sim.schedule_at(t, lambda i=i: fired.append(i))
@@ -40,16 +69,15 @@ def test_equal_timestamps_fire_in_schedule_order(mod, ts):
     assert fired == expected
 
 
-@pytest.mark.parametrize("mod", KERNELS)
 @given(
     ts=st.lists(times, min_size=1, max_size=40),
     cancel_mask=st.lists(st.booleans(), min_size=1, max_size=40),
 )
-@settings(max_examples=100, deadline=None)
-def test_cancel_before_fire_is_idempotent_and_silent(mod, ts, cancel_mask):
+@settings(max_examples=100)
+def test_cancel_before_fire_is_idempotent_and_silent(ts, cancel_mask):
     """Cancelled events never fire, however many times they're cancelled,
     and the survivors still fire in (time, seq) order."""
-    sim = mod.Simulator()
+    sim = Simulator()
     fired = []
     events = [
         sim.schedule_at(t, lambda i=i: fired.append(i))
@@ -70,12 +98,11 @@ def test_cancel_before_fire_is_idempotent_and_silent(mod, ts, cancel_mask):
     assert fired == expected
 
 
-@pytest.mark.parametrize("mod", KERNELS)
 @given(n=st.integers(min_value=1, max_value=30), at=times)
-@settings(max_examples=100, deadline=None)
-def test_signal_wakes_waiters_in_registration_order(mod, n, at):
-    sim = mod.Simulator()
-    sig = mod.Signal(sim)
+@settings(max_examples=100)
+def test_signal_wakes_waiters_in_registration_order(n, at):
+    sim = Simulator()
+    sig = Signal(sim)
     woken = []
     for i in range(n):
         sig.add_waiter(lambda value, i=i: woken.append((i, value)))
@@ -88,24 +115,32 @@ def test_signal_wakes_waiters_in_registration_order(mod, n, at):
     interval=st.floats(min_value=0.5, max_value=5.0, allow_nan=False),
     cancel_at=st.floats(min_value=0.0, max_value=40.0, allow_nan=False),
 )
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_cancel_while_queued_in_timer_lane(interval, cancel_at):
     """Stopping a periodic task cancels the tick sitting in the wheel: no
-    tick after the stop time ever fires, on either kernel, and both kernels
-    observe the identical tick sequence (stop-vs-tick tie-breaks included)."""
+    tick after the stop time ever fires, and the kernel observes the
+    oracle's tick sequence (stop-vs-tick tie-breaks included)."""
+    sim = Simulator()
+    ticks = []
+    task = sim.every(interval, lambda: ticks.append(sim.now))
+    sim.schedule_at(cancel_at, task.stop)
+    sim.run_until(60.0)
 
-    def execute(mod):
-        sim = mod.Simulator()
-        ticks = []
-        task = sim.every(interval, lambda: ticks.append(sim.now))
-        sim.schedule_at(cancel_at, task.stop)
-        sim.run_until(60.0)
-        return ticks
+    oracle = SortedListKernel()
+    expected = []
+    queued = {}
 
-    fast_ticks = execute(engine)
-    assert fast_ticks == execute(engine_reference)
-    assert all(t <= cancel_at for t in fast_ticks)
-    assert fast_ticks == sorted(set(fast_ticks))  # strictly increasing
+    def tick():
+        expected.append(oracle.now)
+        queued["tick"] = oracle.schedule(interval, tick)
+
+    queued["tick"] = oracle.schedule(interval, tick)
+    oracle.schedule_at(cancel_at, lambda: queued["tick"].cancel())
+    oracle.run_until(60.0)
+
+    assert ticks == expected
+    assert all(t <= cancel_at for t in ticks)
+    assert ticks == sorted(set(ticks))  # strictly increasing
 
 
 # -- differential: random programs, identical firing sequences ----------------
@@ -118,13 +153,12 @@ def test_cancel_while_queued_in_timer_lane(interval, cancel_at):
         max_size=50,
     )
 )
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_random_schedule_cancel_programs_fire_identically(program):
-    """Run one random schedule/cancel program on both kernels; the observed
-    (time, id) firing sequences must be exactly equal."""
+    """Run one random schedule/cancel program on the kernel and the oracle;
+    the observed (time, id) firing sequences must be exactly equal."""
 
-    def execute(mod):
-        sim = mod.Simulator()
+    def execute(sim):
         fired = []
         events = []
         for i, (t, op) in enumerate(program):
@@ -142,7 +176,7 @@ def test_random_schedule_cancel_programs_fire_identically(program):
         sim.run_until(100.0)
         return fired
 
-    assert execute(engine) == execute(engine_reference)
+    assert execute(Simulator()) == execute(SortedListKernel())
 
 
 @given(
@@ -152,19 +186,30 @@ def test_random_schedule_cancel_programs_fire_identically(program):
         max_size=15,
     )
 )
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 def test_process_sleep_sequences_match_reference(sleeps):
-    def execute(mod):
-        sim = mod.Simulator()
-        log = []
+    sim = Simulator()
+    log = []
 
-        def proc():
-            for s in sleeps:
-                yield s
-                log.append(round(sim.now, 9))
+    def proc():
+        for s in sleeps:
+            yield s
+            log.append(round(sim.now, 9))
 
-        mod.Process(sim, proc())
-        sim.run_until(1_000.0)
-        return log
+    Process(sim, proc())
+    sim.run_until(1_000.0)
 
-    assert execute(engine) == execute(engine_reference)
+    # The oracle wakes the process at t=0, then once per sleep.
+    oracle = SortedListKernel()
+    expected = []
+    remaining = list(sleeps)
+
+    def wake(first=False):
+        if not first:
+            expected.append(round(oracle.now, 9))
+        if remaining:
+            oracle.schedule(remaining.pop(0), wake)
+
+    oracle.schedule(0.0, lambda: wake(first=True))
+    oracle.run_until(1_000.0)
+    assert log == expected

@@ -45,7 +45,7 @@ def make_interval_trace(pairs):
 
 
 class TestIntervalTraceProperties:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(intervals)
     def test_merged_is_idempotent(self, pairs):
         trace = make_interval_trace(pairs)
@@ -53,7 +53,7 @@ class TestIntervalTraceProperties:
         again = make_interval_trace(once).merged()
         assert once == again
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(intervals)
     def test_merged_is_sorted_and_disjoint(self, pairs):
         merged = make_interval_trace(pairs).merged()
@@ -61,7 +61,7 @@ class TestIntervalTraceProperties:
             assert e0 < s1  # strictly disjoint, in order
         assert all(s < e for s, e in merged)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(intervals)
     def test_total_busy_matches_merged_cover(self, pairs):
         trace = make_interval_trace(pairs)
@@ -72,7 +72,7 @@ class TestIntervalTraceProperties:
             abs_tol=1e-9,
         )
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(
         intervals,
         st.floats(min_value=1.0, max_value=50.0, allow_nan=False),
@@ -95,7 +95,7 @@ class TestIntervalTraceProperties:
         binned_busy = sum(u * bin_ms for u in utils)
         assert math.isclose(binned_busy, covered_busy, rel_tol=1e-9, abs_tol=1e-6)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(intervals, st.floats(min_value=1.0, max_value=50.0))
     def test_utilization_never_exceeds_one_per_bin(self, pairs, bin_ms):
         trace = make_interval_trace(pairs)
@@ -104,7 +104,7 @@ class TestIntervalTraceProperties:
 
 
 class TestByteTraceProperties:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(
         byte_records,
         st.floats(min_value=1.0, max_value=100.0, allow_nan=False),
@@ -127,7 +127,7 @@ class TestByteTraceProperties:
             binned_bytes, window_bytes, rel_tol=1e-9, abs_tol=1e-6
         )
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(byte_records)
     def test_average_matches_series_mean_on_exact_bins(self, records):
         """With bins tiling the window exactly, mean(series) == average."""

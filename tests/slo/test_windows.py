@@ -33,7 +33,7 @@ samples = st.lists(st.tuples(timestamps, values), min_size=1, max_size=200)
 
 percentiles = st.floats(min_value=0.0, max_value=100.0)
 
-prop = settings(max_examples=60, deadline=None)
+prop = settings(max_examples=60)
 
 
 def _fill(pairs):
@@ -132,7 +132,7 @@ class TestEdgeCases:
             assert tracker.quantile(p) == 7.5
 
     @given(v=values, n=st.integers(min_value=1, max_value=50))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_all_equal_samples_report_that_value_exactly(self, v, n):
         """The vmin/vmax clamp makes constant streams exact, not binned."""
         tracker = _fill([(i * 137.0, v) for i in range(n)])
