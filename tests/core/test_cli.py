@@ -23,6 +23,39 @@ class TestList:
         for name in EXPERIMENTS:
             assert name in text
 
+    def test_registry_covers_all_figures_and_tables(self):
+        figs = {f"fig{i}" for i in range(1, 10)}
+        tabs = {"tab-mem", "tab-sessions", "tab-proto", "tab-setup"}
+        extras = {
+            "chaos",
+            "fleet_capacity",
+            "fleet_placement",
+            "analytic_link",
+            "analytic_closed",
+            "slo_burst",
+            "slo_chaos_grid",
+            "slo_fleet",
+            "scale_load_curve",
+            "scale_closed_curve",
+            "scale_fleet",
+            "scale_closed_fleet",
+        }
+        assert figs | tabs | extras == set(EXPERIMENTS)
+
+    def test_run_all_keeps_paper_experiments_first(self):
+        """Registration appends new groups, never reorders the paper set.
+
+        ``run all`` executes in registry order, and sweep cache keys embed
+        that order's experiment names — so the historical sequence is part
+        of the compatibility surface.
+        """
+        names = list(EXPERIMENTS)
+        legacy = (
+            [f"fig{i}" for i in range(1, 10)]
+            + ["chaos", "tab-mem", "tab-sessions", "tab-proto", "tab-setup"]
+        )
+        assert names[: len(legacy)] == legacy
+
     def test_list_shows_group_headers(self):
         code, text = run_cli("list")
         assert code == 0

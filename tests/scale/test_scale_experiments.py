@@ -13,7 +13,7 @@ import pytest
 
 pytest.importorskip("numpy")
 
-from repro.cli import main
+from repro.cli import EXPERIMENTS, main
 from repro.core.registry import REGISTRY
 from repro.core.server import ServerConfig
 from repro.errors import FleetError
@@ -79,6 +79,10 @@ def small_closed_spec(**overrides):
 
 
 class TestRegistration:
+    def test_scale_experiments_close_the_registry(self):
+        names = list(EXPERIMENTS)
+        assert names[-4:] == SCALE_NAMES
+
     def test_group_and_titles(self):
         for name in SCALE_NAMES:
             assert REGISTRY[name].group == "scale"

@@ -31,6 +31,23 @@ def run_cli(*argv):
 
 
 class TestRegistration:
+    def test_all_three_experiments_registered_in_order(self):
+        names = list(EXPERIMENTS)
+        indices = [names.index(n) for n in SLO_NAMES]
+        assert indices == sorted(indices)
+
+    def test_slo_experiments_append_after_every_other_group(self):
+        names = list(EXPERIMENTS)
+        first_slo = names.index(SLO_NAMES[0])
+        stragglers = [
+            n
+            for n in names[first_slo:]
+            # The scale group registers after slo in the canonical
+            # sequence; anything else after slo_burst is a misplacement.
+            if not n.startswith(("slo_", "scale_"))
+        ]
+        assert not stragglers, f"registered after slo_burst: {stragglers}"
+
     def test_group_and_titles(self):
         for name in SLO_NAMES:
             assert REGISTRY[name].group == "slo"
