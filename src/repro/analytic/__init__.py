@@ -1,8 +1,8 @@
 """Closed-form queueing models cross-validated against the simulator.
 
-The differential-equivalence suites prove the optimized kernel matches the
-frozen one byte-for-byte — but nothing there checks that *either* matches
-reality.  This package supplies the independent check: textbook queueing
+The artifact-digest manifest (``tests/golden/artifacts.json``) proves every
+experiment's output stays byte-for-byte the same — but nothing there checks
+that the output matches reality.  This package supplies the independent check: textbook queueing
 theory (Gunther's X-terminal analysis, Gray's NC-farm arithmetic) applied
 to the exact scenarios the simulator runs, with a comparison harness that
 reports relative error.
@@ -17,7 +17,7 @@ reports relative error.
   the real kernel and network layer.
 * :mod:`~repro.analytic.validate` — side-by-side comparison rows with
   relative errors; the oracle suite in ``tests/analytic`` asserts they
-  stay within tolerance in light traffic on both kernels.
+  stay within tolerance in light traffic.
 * :mod:`~repro.analytic.experiments` — the registered ``analytic_link``
   and ``analytic_closed`` overlay experiments.
 """

@@ -19,18 +19,18 @@ X11 latency:
     the saturation knee N* = (Z + D)/D.
 
 Both sweeps are pure functions of (parameters, seed): artifacts are
-byte-identical across serial, ``--jobs N``, and warm-cache runs, on both
-kernels and both recorders — which is what makes them a standing oracle
-rather than a demo.
+byte-identical across serial, ``--jobs N``, and warm-cache runs, and
+``tests/golden/artifacts.json`` pins their digests on every one of those
+paths — which is what makes them a standing oracle rather than a demo.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import List, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
-from ..core.registry import experiment
-from ..core.report import format_overlay, write_csv
+from ..core.registry import ExperimentSpec
+from ..core.report import Row, format_overlay, sweep, write_rows
 from ..sim.rng import derive_seed
 
 #: Offered-utilization grid swept by ``analytic_link``.
@@ -53,10 +53,37 @@ CLOSED_SERVICE_MS = 10.0
 CLOSED_DURATION_MS = 300_000.0
 
 
-def _analytic_link_point(
-    rho: float, *, seed: int
-) -> Tuple[float, float, float, float, float, int]:
-    """One ρ cell: (pred delay, sim delay, pred L, sim L, utilization, n)."""
+class LinkPoint(NamedTuple):
+    predicted_delay_ms: float
+    simulated_delay_ms: float
+    predicted_in_system: float
+    simulated_in_system: float
+    utilization: float
+    samples: int
+
+
+class ClosedPoint(NamedTuple):
+    predicted_throughput: float
+    simulated_throughput: float
+    predicted_response_ms: float
+    simulated_response_ms: float
+    completions: int
+
+
+def _overlay(
+    rows: Sequence[Row], name: str, field: str
+) -> Tuple[str, List[float], List[float]]:
+    """One :func:`format_overlay` series: ``predicted_<field>`` vs
+    ``simulated_<field>`` across *rows*."""
+    return (
+        name,
+        [row[f"predicted_{field}"] for row in rows],
+        [row[f"simulated_{field}"] for row in rows],
+    )
+
+
+def _analytic_link_point(rho: float, *, seed: int) -> LinkPoint:
+    """One ρ cell: predicted vs simulated delay and occupancy."""
     from .validate import compare_link_probe
 
     rows, observed = compare_link_probe(
@@ -65,7 +92,7 @@ def _analytic_link_point(
         seed=derive_seed(seed, f"analytic_link:{rho}"),
     )
     delay, in_system = rows
-    return (
+    return LinkPoint(
         delay.predicted,
         delay.simulated,
         in_system.predicted,
@@ -75,10 +102,8 @@ def _analytic_link_point(
     )
 
 
-def _analytic_closed_point(
-    sessions: int, *, seed: int
-) -> Tuple[float, float, float, float, int]:
-    """One N cell: (pred X, sim X, pred R, sim R, completions)."""
+def _analytic_closed_point(sessions: int, *, seed: int) -> ClosedPoint:
+    """One N cell: predicted vs simulated throughput and response."""
     from .validate import compare_closed_loop
 
     rows, observed = compare_closed_loop(
@@ -89,7 +114,7 @@ def _analytic_closed_point(
         seed=derive_seed(seed, f"analytic_closed:{sessions}"),
     )
     throughput, response = rows
-    return (
+    return ClosedPoint(
         throughput.predicted,
         throughput.simulated,
         response.predicted,
@@ -100,28 +125,21 @@ def _analytic_closed_point(
 
 def _analytic_link(ctx) -> None:
     """Overlay P–K predictions on the simulated link across utilization."""
-    points = ctx.executor.map(
+    rows = sweep(
+        ctx,
         "analytic_link" + ctx.fault_suffix,
         partial(_analytic_link_point, seed=ctx.seed),
         list(LINK_RHO_LEVELS),
-        seed=ctx.seed,
+        ("rho",),
+        LinkPoint,
     )
-    xs = [f"{rho:.1f}" for rho in LINK_RHO_LEVELS]
     ctx.out.write(
         format_overlay(
             "rho",
-            xs,
+            [f"{row['rho']:.1f}" for row in rows],
             [
-                (
-                    "delay_ms",
-                    [p[0] for p in points],
-                    [p[1] for p in points],
-                ),
-                (
-                    "in_system",
-                    [p[2] for p in points],
-                    [p[3] for p in points],
-                ),
+                _overlay(rows, "delay_ms", "delay_ms"),
+                _overlay(rows, "in_system", "in_system"),
             ],
             title=(
                 "analytic_link: one-way 64B probe delay on the shared "
@@ -130,48 +148,26 @@ def _analytic_link(ctx) -> None:
         )
         + "\n"
     )
-    if ctx.csv_dir:
-        write_csv(
-            f"{ctx.csv_dir}/analytic_link.csv",
-            [
-                "rho",
-                "predicted_delay_ms",
-                "simulated_delay_ms",
-                "predicted_in_system",
-                "simulated_in_system",
-                "utilization",
-                "samples",
-            ],
-            [
-                (rho, *point)
-                for rho, point in zip(LINK_RHO_LEVELS, points)
-            ],
-        )
+    write_rows(ctx, "analytic_link.csv", rows)
 
 
 def _analytic_closed(ctx) -> None:
     """Overlay exact MVA on the simulated closed loop across populations."""
-    points = ctx.executor.map(
+    rows = sweep(
+        ctx,
         "analytic_closed" + ctx.fault_suffix,
         partial(_analytic_closed_point, seed=ctx.seed),
         list(CLOSED_SESSION_COUNTS),
-        seed=ctx.seed,
+        ("sessions",),
+        ClosedPoint,
     )
     ctx.out.write(
         format_overlay(
             "sessions",
-            CLOSED_SESSION_COUNTS,
+            [row["sessions"] for row in rows],
             [
-                (
-                    "X (1/ms)",
-                    [p[0] for p in points],
-                    [p[1] for p in points],
-                ),
-                (
-                    "R (ms)",
-                    [p[2] for p in points],
-                    [p[3] for p in points],
-                ),
+                _overlay(rows, "X (1/ms)", "throughput"),
+                _overlay(rows, "R (ms)", "response_ms"),
             ],
             title=(
                 "analytic_closed: N think/interact sessions on one server "
@@ -182,52 +178,18 @@ def _analytic_closed(ctx) -> None:
         )
         + "\n"
     )
-    if ctx.csv_dir:
-        write_csv(
-            f"{ctx.csv_dir}/analytic_closed.csv",
-            [
-                "sessions",
-                "predicted_throughput",
-                "simulated_throughput",
-                "predicted_response_ms",
-                "simulated_response_ms",
-                "completions",
-            ],
-            [
-                (sessions, *point)
-                for sessions, point in zip(CLOSED_SESSION_COUNTS, points)
-            ],
-        )
+    write_rows(ctx, "analytic_closed.csv", rows)
 
 
-_REGISTERED = False
-
-
-def _register() -> None:
-    """Register this module's experiments; idempotent.
-
-    Driven by ``repro.cli`` at this module's canonical position in the
-    registration sequence (see ``repro.fleet.experiments._register`` for
-    why import-time decorators would make registry order depend on which
-    module a process imports first).
-    """
-    global _REGISTERED
-    if _REGISTERED:
-        return
-    _REGISTERED = True
-    experiment(
-        "analytic_link",
-        title="M/G/1 vs simulated shared-link probe delay across rho",
-        group="analytic",
-    )(_analytic_link)
-    experiment(
-        "analytic_closed",
-        title="Exact MVA vs simulated closed-loop sessions across N",
-        group="analytic",
-    )(_analytic_closed)
-
-
-# Importing any experiments module alone must still populate the whole
-# registry in canonical order: pull in the CLI, which calls every
-# module's ``_register`` in sequence.
-from .. import cli as _cli  # noqa: E402,F401
+#: This module's experiments, in ``run all`` order; ``repro.cli``
+#: registers them after the fleet group.
+SPECS = (
+    ExperimentSpec(
+        "analytic_link", "M/G/1 vs simulated shared-link probe delay across rho",
+        "analytic", _analytic_link,
+    ),
+    ExperimentSpec(
+        "analytic_closed", "Exact MVA vs simulated closed-loop sessions across N",
+        "analytic", _analytic_closed,
+    ),
+)

@@ -10,12 +10,12 @@ Regenerate any of the paper's tables and figures without writing code::
 Each experiment prints the same rows/series its benchmark emits; ``--csv``
 additionally writes machine-readable series next to the text output.
 
-Experiments self-register through :mod:`repro.core.registry` — each paper
-runner below carries an ``@experiment(...)`` decorator, and this module
-then drives the fleet/analytic/SLO/scale modules' ``_register()`` hooks in a
-fixed sequence (an explicit call rather than an import side effect, so
-the registry order is identical no matter which experiments module a
-process imports first).  ``list`` renders one table per registry group;
+Experiments register through :mod:`repro.core.registry` — each paper
+runner below carries an ``@experiment(...)`` decorator, and the fleet,
+analytic, SLO and scale modules each export a ``SPECS`` tuple that this
+module registers after them, in that fixed sequence.  Those modules never
+import the CLI, so the registry order is the same whichever module a
+process imports first.  ``list`` renders one table per registry group;
 ``run all`` executes the registry in registration order, which keeps the
 paper experiments in their historical sequence (goldens and cache keys
 are unchanged) with later groups appended.
@@ -53,115 +53,183 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import partial
-from typing import List, Optional, TextIO, Tuple
+from typing import List, NamedTuple, Optional, TextIO, Tuple
 
-from .core.registry import REGISTRY, ExperimentSpec, experiment, groups
+from .analytic import experiments as _analytic_experiments
+from .core.registry import REGISTRY, experiment, groups, register
 from .core.report import (
+    Column,
+    Row,
+    format_cells,
+    format_columns,
     format_metrics_summary,
     format_series,
     format_table,
+    sparkline,
+    sweep,
     write_csv,
+    write_rows,
+    write_series,
 )
 from .errors import ReproError
 from .exec import RunContext
+from .fleet import experiments as _fleet_experiments
 from .obs import summary_rows, write_run_artifacts
+from .scale import experiments as _scale_experiments
+from .slo import experiments as _slo_experiments
 
-#: Back-compat aliases: the registry *is* the old hand-built dispatch
-#: table (live mapping, registration order), and a registered spec plays
-#: the old ``Experiment`` role.
+#: Back-compat alias: the registry *is* the old hand-built dispatch table
+#: (live mapping, registration order).
 EXPERIMENTS = REGISTRY
-Experiment = ExperimentSpec
 
 
 # --- per-point functions -----------------------------------------------------
 #
 # Each sweep's unit of work lives at module level (picklable, so the process
-# backend can ship it to workers) and returns plain tuples/lists (picklable
-# and compact, so the result cache can store them).  Experiments that ignore
-# the seed key their cache entries under seed 0, letting every seed share
-# the same cached points.
+# backend can ship it to workers) and returns a record: a NamedTuple whose
+# field names are the experiment's CSV header, picklable and compact so the
+# result cache can store it.  Experiments that ignore the seed key their
+# cache entries under seed 0, letting every seed share the same cached points.
 
 
-def _fig1_point(os_name: str, *, seed: int) -> Tuple[float, list, list]:
+class IdleTracePoint(NamedTuple):
+    idle_utilization: float
+    time_ms: list
+    utilization: list
+
+
+class LostTimePoint(NamedTuple):
+    total_lost_ms: float
+    threshold_ms: list
+    cumulative_latency_s: list
+
+
+class StallPoint(NamedTuple):
+    avg_stall_ms: float
+
+
+class LoadSeriesPoint(NamedTuple):
+    avg_mbps: float
+    time_ms: list
+    mbps: list
+
+
+class CacheOverflowPoint(NamedTuple):
+    time_ms: list
+    cpu_utilization: list
+    cumulative_hit_ratio: list
+
+
+class FrameLoadPoint(NamedTuple):
+    mbps: float
+
+
+class PingPoint(NamedTuple):
+    mean_rtt_ms: float
+    rtt_variance: float
+
+
+class ChaosPoint(NamedTuple):
+    mean_latency_ms: float
+    p99_latency_ms: float
+    delivered_fraction: float
+    retransmits: int
+    timeouts_fired: int
+
+
+class KeystrokeLatencyPoint(NamedTuple):
+    min_ms: float
+    avg_ms: float
+    max_ms: float
+
+
+class ProtocolPoint(NamedTuple):
+    bytes: int
+    messages: int
+    avg_size: float
+    vip_savings: float
+
+
+def _fig1_point(os_name: str, *, seed: int) -> IdleTracePoint:
     from .cpu import run_idle_experiment
 
     result = run_idle_experiment(os_name, 60_000.0, seed=seed)
     times, utils = result.utilization_trace(bin_ms=1_000.0)
-    return result.idle_utilization, list(times), list(utils)
+    return IdleTracePoint(result.idle_utilization, list(times), list(utils))
 
 
-def _fig2_point(os_name: str, *, seed: int) -> Tuple[float, list, list]:
+def _fig2_point(os_name: str, *, seed: int) -> LostTimePoint:
     from .cpu import run_idle_experiment
 
     result = run_idle_experiment(os_name, 600_000.0, seed=seed)
     thresholds, curve = result.cumulative_latency_curve()
-    return result.total_lost_time_ms, list(thresholds), list(curve)
+    return LostTimePoint(result.total_lost_time_ms, list(thresholds), list(curve))
 
 
-def _fig3_point(point: Tuple[str, int], *, seed: int) -> float:
+def _fig3_point(point: Tuple[str, int], *, seed: int) -> StallPoint:
     from .workloads import run_stall_experiment
 
     os_name, queue_length = point
     (result,) = run_stall_experiment(os_name, [queue_length], seed=seed)
-    return result.average_stall_ms
+    return StallPoint(result.average_stall_ms)
 
 
-def _fig4_point(variant: str) -> Tuple[float, list, list]:
+def _fig4_point(variant: str) -> LoadSeriesPoint:
     from .workloads import run_webpage_experiment
 
     result = run_webpage_experiment(variant, duration_ms=160_000.0)
     times, mbps = result.load_series(2_000.0)
-    return result.average_mbps(), list(times), list(mbps)
+    return LoadSeriesPoint(result.average_mbps(), list(times), list(mbps))
 
 
-def _fig5_point(protocol: str) -> Tuple[float, list, list]:
+def _fig5_point(protocol: str) -> LoadSeriesPoint:
     from .workloads import gif_10_frame, run_animations_over_protocol
 
     result = run_animations_over_protocol(protocol, [gif_10_frame()], 5_000.0)
     times, mbps = result.load_series(100.0)
-    return result.average_mbps(500.0), list(times), list(mbps)
+    return LoadSeriesPoint(result.average_mbps(500.0), list(times), list(mbps))
 
 
-def _fig6_point(frame_count: int) -> Tuple[list, list, list]:
+def _fig6_point(frame_count: int) -> CacheOverflowPoint:
     from .workloads import run_cache_overflow_experiment
 
     result = run_cache_overflow_experiment(frame_count, 60_000.0)
-    return (
+    return CacheOverflowPoint(
         list(result.times_ms),
         list(result.cpu_utilization),
         list(result.cumulative_hit_ratio),
     )
 
 
-def _fig7_point(frame_count: int) -> float:
+def _fig7_point(frame_count: int) -> FrameLoadPoint:
     from .workloads import run_frame_count_sweep
 
     ((__, mbps),) = run_frame_count_sweep([frame_count], duration_ms=60_000.0)
-    return mbps
+    return FrameLoadPoint(mbps)
 
 
 def _ping_point(
     offered_mbps: float, *, seed: int, faults: str = "", fault_seed: int = 0
-) -> Tuple[float, float]:
+) -> PingPoint:
     from .net import FaultPlan, run_ping_experiment
 
     plan = FaultPlan.parse(faults, seed=fault_seed) if faults else None
     (result,) = run_ping_experiment(
         [offered_mbps], duration_ms=60_000.0, seed=seed, faults=plan
     )
-    return result.mean_rtt_ms, result.rtt_variance
+    return PingPoint(result.mean_rtt_ms, result.rtt_variance)
 
 
 def _chaos_point(
     loss: float, *, faults: str = "", fault_seed: int = 0
-) -> Tuple[float, float, float, int, int]:
+) -> ChaosPoint:
     from .net import FaultPlan, run_chaos_experiment
 
     base = FaultPlan.parse(faults, seed=fault_seed)
     (result,) = run_chaos_experiment(
         [loss], base=base, seed=fault_seed, duration_ms=30_000.0
     )
-    return (
+    return ChaosPoint(
         result.mean_latency_ms if result.latencies_ms else 0.0,
         result.latency_percentile_ms(99.0) if result.latencies_ms else 0.0,
         result.delivered_fraction,
@@ -170,21 +238,21 @@ def _chaos_point(
     )
 
 
-def _tab_mem_point(point: Tuple[str, float], *, seed: int) -> Tuple[float, float, float]:
+def _tab_mem_point(point: Tuple[str, float], *, seed: int) -> KeystrokeLatencyPoint:
     from .memory import run_memory_latency_experiment
 
     os_name, demand = point
     s = run_memory_latency_experiment(os_name, demand, runs=10, seed=seed).summary
-    return s.minimum, s.average, s.maximum
+    return KeystrokeLatencyPoint(s.minimum, s.average, s.maximum)
 
 
-def _tab_proto_point(protocol: str, *, seed: int) -> Tuple[int, int, float, float]:
+def _tab_proto_point(protocol: str, *, seed: int) -> ProtocolPoint:
     from .workloads import application_workload, replay_workload
 
     tap = replay_workload(protocol, application_workload(seed))
     trace = tap.trace()
     vip = tap.vip_table_row()
-    return (
+    return ProtocolPoint(
         trace.total_bytes,
         trace.total_messages,
         trace.avg_message_size,
@@ -202,57 +270,49 @@ def _tab_proto_point(protocol: str, *, seed: int) -> Tuple[int, int, float, floa
 
 @experiment("fig1", title="Idle-state CPU activity traces")
 def _fig1(ctx: RunContext) -> None:
-    from .core.report import sparkline
     from .cpu import OS_NAMES
 
-    points = ctx.executor.map(
-        "fig1", partial(_fig1_point, seed=ctx.seed), list(OS_NAMES), seed=ctx.seed
+    rows = sweep(
+        ctx,
+        "fig1",
+        partial(_fig1_point, seed=ctx.seed),
+        list(OS_NAMES),
+        ("system",),
+        IdleTracePoint,
     )
-    rows = []
-    for os_name, (idle_utilization, times, utils) in zip(OS_NAMES, points):
-        rows.append(
-            (os_name, f"{idle_utilization * 100:.2f}%", sparkline(utils[:30]))
-        )
-        if ctx.csv_dir:
-            write_csv(
-                f"{ctx.csv_dir}/fig1_{os_name}.csv",
-                ["time_ms", "utilization"],
-                zip(times, utils),
-            )
-    ctx.out.write(
-        format_table(
-            ["system", "avg idle util", "trace"],
-            rows,
-            title="Figure 1: idle-state processor activity",
-        )
-        + "\n"
-    )
+    columns = [
+        Column("system", "system"),
+        Column("avg idle util", "idle_utilization", "{:.2%}"),
+        Column("trace", "utilization", lambda utils: sparkline(utils[:30])),
+    ]
+    title = "Figure 1: idle-state processor activity"
+    ctx.out.write(format_columns(columns, rows, title=title) + "\n")
+    for row in rows:
+        write_series(ctx, f"fig1_{row['system']}.csv", row, IdleTracePoint._fields[1:])
 
 
 @experiment("fig2", title="Cumulative idle-state latency")
 def _fig2(ctx: RunContext) -> None:
     from .cpu import OS_NAMES
 
-    points = ctx.executor.map(
-        "fig2", partial(_fig2_point, seed=ctx.seed), list(OS_NAMES), seed=ctx.seed
+    rows = sweep(
+        ctx,
+        "fig2",
+        partial(_fig2_point, seed=ctx.seed),
+        list(OS_NAMES),
+        ("system",),
+        LostTimePoint,
     )
-    rows = []
-    for os_name, (total_lost_ms, thresholds, curve) in zip(OS_NAMES, points):
-        rows.append((os_name, f"{total_lost_ms / 1000:.1f}s"))
-        if ctx.csv_dir:
-            write_csv(
-                f"{ctx.csv_dir}/fig2_{os_name}.csv",
-                ["threshold_ms", "cumulative_latency_s"],
-                zip(thresholds, curve),
-            )
-    ctx.out.write(
-        format_table(
-            ["system", "total lost time / 10 min"],
-            rows,
-            title="Figure 2: cumulative idle-state latency",
-        )
-        + "\n"
-    )
+    columns = [
+        Column("system", "system"),
+        Column(
+            "total lost time / 10 min", "total_lost_ms", lambda ms: f"{ms / 1000:.1f}s"
+        ),
+    ]
+    title = "Figure 2: cumulative idle-state latency"
+    ctx.out.write(format_columns(columns, rows, title=title) + "\n")
+    for row in rows:
+        write_series(ctx, f"fig2_{row['system']}.csv", row, LostTimePoint._fields[1:])
 
 
 @experiment("fig3", title="Stall length vs scheduler queue length")
@@ -261,131 +321,108 @@ def _fig3(ctx: RunContext) -> None:
         "nt_tse": [0, 5, 10, 15],
         "linux": [0, 5, 10, 15, 25, 35, 50],
     }
-    values = [(os_name, n) for os_name, loads in sweeps.items() for n in loads]
-    stalls = ctx.executor.map(
-        "fig3", partial(_fig3_point, seed=ctx.seed), values, seed=ctx.seed
+    rows = sweep(
+        ctx,
+        "fig3",
+        partial(_fig3_point, seed=ctx.seed),
+        [(os_name, n) for os_name, loads in sweeps.items() for n in loads],
+        ("system", "queue_length"),
+        StallPoint,
     )
-    by_point = dict(zip(values, stalls))
-    rows = []
-    for os_name, loads in sweeps.items():
-        for n in loads:
-            rows.append((os_name, n, f"{by_point[(os_name, n)]:.0f}"))
-        if ctx.csv_dir:
-            write_csv(
-                f"{ctx.csv_dir}/fig3_{os_name}.csv",
-                ["queue_length", "avg_stall_ms"],
-                [(n, by_point[(os_name, n)]) for n in loads],
-            )
-    ctx.out.write(
-        format_table(
-            ["system", "queue length", "avg stall (ms)"],
-            rows,
-            title="Figure 3: stall length vs scheduler queue length",
+    columns = [
+        Column("system", "system"),
+        Column("queue length", "queue_length"),
+        Column("avg stall (ms)", "avg_stall_ms", "{:.0f}"),
+    ]
+    title = "Figure 3: stall length vs scheduler queue length"
+    ctx.out.write(format_columns(columns, rows, title=title) + "\n")
+    for os_name in sweeps:
+        write_rows(
+            ctx,
+            f"fig3_{os_name}.csv",
+            [row for row in rows if row["system"] == os_name],
+            ("queue_length", *StallPoint._fields),
         )
-        + "\n"
-    )
 
 
 @experiment("fig4", title="Synthetic web page network load")
 def _fig4(ctx: RunContext) -> None:
     variants = ["marquee", "banner", "both"]
-    points = ctx.executor.map("fig4", _fig4_point, variants, seed=0)
-    rows = []
-    for variant, (avg_mbps, times, mbps) in zip(variants, points):
-        rows.append((variant, f"{avg_mbps:.3f}"))
-        if ctx.csv_dir:
-            write_csv(
-                f"{ctx.csv_dir}/fig4_{variant}.csv",
-                ["time_ms", "mbps"],
-                zip(times, mbps),
-            )
-    ctx.out.write(
-        format_table(
-            ["variant", "avg Mbps"],
-            rows,
-            title="Figure 4: synthetic web page over RDP",
-        )
-        + "\n"
+    rows = sweep(
+        ctx, "fig4", _fig4_point, variants, ("variant",), LoadSeriesPoint, seed=0
     )
+    columns = [
+        Column("variant", "variant"),
+        Column("avg Mbps", "avg_mbps", "{:.3f}"),
+    ]
+    title = "Figure 4: synthetic web page over RDP"
+    ctx.out.write(format_columns(columns, rows, title=title) + "\n")
+    for row in rows:
+        filename = f"fig4_{row['variant']}.csv"
+        write_series(ctx, filename, row, LoadSeriesPoint._fields[1:])
 
 
 @experiment("fig5", title="10-frame GIF over X/LBX/RDP")
 def _fig5(ctx: RunContext) -> None:
     protocols = ["x", "lbx", "rdp"]
-    points = ctx.executor.map("fig5", _fig5_point, protocols, seed=0)
-    rows = []
-    for name, (steady_mbps, times, mbps) in zip(protocols, points):
-        rows.append((name, f"{steady_mbps:.3f}"))
-        if ctx.csv_dir:
-            write_csv(
-                f"{ctx.csv_dir}/fig5_{name}.csv", ["time_ms", "mbps"], zip(times, mbps)
-            )
-    ctx.out.write(
-        format_table(
-            ["protocol", "steady Mbps"],
-            rows,
-            title="Figure 5: 10-frame 20 Hz GIF",
-        )
-        + "\n"
+    rows = sweep(
+        ctx, "fig5", _fig5_point, protocols, ("protocol",), LoadSeriesPoint, seed=0
     )
+    columns = [
+        Column("protocol", "protocol"),
+        Column("steady Mbps", "avg_mbps", "{:.3f}"),
+    ]
+    title = "Figure 5: 10-frame 20 Hz GIF"
+    ctx.out.write(format_columns(columns, rows, title=title) + "\n")
+    for row in rows:
+        filename = f"fig5_{row['protocol']}.csv"
+        write_series(ctx, filename, row, LoadSeriesPoint._fields[1:])
 
 
 @experiment("fig6", title="Cache overflow: hit ratio + CPU")
 def _fig6(ctx: RunContext) -> None:
-    (point,) = ctx.executor.map("fig6", _fig6_point, [66], seed=0)
-    times_ms, cpu_utilization, cumulative_hit_ratio = point
+    (row,) = sweep(
+        ctx, "fig6", _fig6_point, [66], ("frames",), CacheOverflowPoint, seed=0
+    )
     ctx.out.write(
         format_series(
             "time (s)",
             "cumulative hit ratio",
-            [int(t / 1000) for t in times_ms[::10]],
-            cumulative_hit_ratio[::10],
+            [int(t / 1000) for t in row["time_ms"][::10]],
+            row["cumulative_hit_ratio"][::10],
             title="Figure 6: 66-frame animation overflowing the cache",
         )
         + "\n"
     )
-    if ctx.csv_dir:
-        write_csv(
-            f"{ctx.csv_dir}/fig6.csv",
-            ["time_ms", "cpu_utilization", "cumulative_hit_ratio"],
-            zip(times_ms, cpu_utilization, cumulative_hit_ratio),
-        )
+    write_series(ctx, "fig6.csv", row, CacheOverflowPoint._fields)
 
 
 @experiment("fig7", title="Network load vs frame count (cache cliff)")
 def _fig7(ctx: RunContext) -> None:
     frame_counts = [25, 35, 45, 55, 65, 66, 70, 80, 90, 100]
-    loads = ctx.executor.map("fig7", _fig7_point, frame_counts, seed=0)
+    rows = sweep(
+        ctx, "fig7", _fig7_point, frame_counts, ("frames",), FrameLoadPoint, seed=0
+    )
     ctx.out.write(
         format_series(
             "frames",
             "Mbps",
-            frame_counts,
-            loads,
+            [row["frames"] for row in rows],
+            [row["mbps"] for row in rows],
             title="Figure 7: network load vs frame count",
         )
         + "\n"
     )
-    if ctx.csv_dir:
-        write_csv(
-            f"{ctx.csv_dir}/fig7.csv",
-            ["frames", "mbps"],
-            zip(frame_counts, loads),
-        )
+    write_rows(ctx, "fig7.csv", rows)
 
 
-def _ping_sweep(ctx: RunContext, levels: List[float]) -> List[Tuple[float, float]]:
+def _ping_sweep(ctx: RunContext, levels: List[float]) -> List[Row]:
     """The shared fig8/fig9 ping sweep, honoring the context's fault plan."""
-    return ctx.executor.map(
-        "ping" + ctx.fault_suffix,
-        partial(
-            _ping_point,
-            seed=ctx.seed,
-            faults=ctx.faults or "",
-            fault_seed=ctx.fault_seed,
-        ),
-        levels,
-        seed=ctx.seed,
+    point = partial(
+        _ping_point, seed=ctx.seed, faults=ctx.faults or "", fault_seed=ctx.fault_seed
+    )
+    return sweep(
+        ctx, "ping" + ctx.fault_suffix, point, levels, ("offered_mbps",), PingPoint
     )
 
 
@@ -394,38 +431,30 @@ def _fig8(ctx: RunContext) -> None:
     levels = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 9.6]
     # figs 8 and 9 share the "ping" sweep, so a cached fig8 run also
     # pre-pays every fig9 point (fig9's levels are a subset).
-    points = _ping_sweep(ctx, levels)
+    rows = _ping_sweep(ctx, levels)
     ctx.out.write(
         format_series(
             "offered Mbps",
             "mean RTT (ms)",
             levels,
-            [mean_rtt for mean_rtt, __ in points],
+            [row["mean_rtt_ms"] for row in rows],
             title="Figure 8: RTT vs offered load",
         )
         + "\n"
     )
-    if ctx.csv_dir:
-        write_csv(
-            f"{ctx.csv_dir}/fig8.csv",
-            ["offered_mbps", "mean_rtt_ms", "rtt_variance"],
-            [
-                (level, mean_rtt, variance)
-                for level, (mean_rtt, variance) in zip(levels, points)
-            ],
-        )
+    write_rows(ctx, "fig8.csv", rows)
 
 
 @experiment("fig9", title="RTT variance vs offered load")
 def _fig9(ctx: RunContext) -> None:
     levels = [0, 2, 4, 6, 8, 9, 9.6]
-    points = _ping_sweep(ctx, levels)
+    rows = _ping_sweep(ctx, levels)
     ctx.out.write(
         format_series(
             "offered Mbps",
             "RTT variance (ms^2)",
             levels,
-            [variance for __, variance in points],
+            [row["rtt_variance"] for row in rows],
             title="Figure 9: RTT jitter vs offered load",
             y_format="{:.2f}",
         )
@@ -441,82 +470,58 @@ def _fig9(ctx: RunContext) -> None:
 def _chaos(ctx: RunContext) -> None:
     """Latency vs loss rate on a faulted wire — the robustness axis the
     paper's perfect testbed never exercised."""
-    levels = [0.0, 0.01, 0.02, 0.05, 0.1, 0.2]
     spec = ctx.faults or ""
-    points = ctx.executor.map(
+    rows = sweep(
+        ctx,
         f"chaos[{spec}@{ctx.fault_seed}]",
         partial(_chaos_point, faults=spec, fault_seed=ctx.fault_seed),
-        levels,
-        seed=ctx.seed,
+        [0.0, 0.01, 0.02, 0.05, 0.1, 0.2],
+        ("loss",),
+        ChaosPoint,
     )
-    rows = [
-        (
-            f"{loss * 100:g}%",
-            f"{mean_ms:.2f}",
-            f"{p99_ms:.2f}",
-            f"{delivered * 100:.1f}%",
-            retransmits,
-            timeouts,
-        )
-        for loss, (mean_ms, p99_ms, delivered, retransmits, timeouts) in zip(
-            levels, points
-        )
+    columns = [
+        Column("loss", "loss", lambda loss: f"{loss * 100:g}%"),
+        Column("mean (ms)", "mean_latency_ms", "{:.2f}"),
+        Column("p99 (ms)", "p99_latency_ms", "{:.2f}"),
+        Column("delivered", "delivered_fraction", "{:.1%}"),
+        Column("rexmits", "retransmits"),
+        Column("timeouts", "timeouts_fired"),
     ]
-    ctx.out.write(
-        format_table(
-            ["loss", "mean (ms)", "p99 (ms)", "delivered", "rexmits", "timeouts"],
-            rows,
-            title="Chaos: message latency vs loss rate (reliable transport)",
-        )
-        + "\n"
-    )
+    title = "Chaos: message latency vs loss rate (reliable transport)"
+    ctx.out.write(format_columns(columns, rows, title=title) + "\n")
+    write_rows(ctx, "chaos.csv", rows)
+
+
+def _cell_table(ctx: RunContext, filename: str, columns, rows, title: str) -> None:
+    """Print *rows* as a table; the CSV holds the same formatted cells,
+    headed by the columns' field names (the ``tab-*`` CSV format)."""
+    cells = format_cells(columns, rows)
+    headers = [column.header for column in columns]
+    ctx.out.write(format_table(headers, cells, title=title) + "\n")
     if ctx.csv_dir:
-        write_csv(
-            f"{ctx.csv_dir}/chaos.csv",
-            [
-                "loss",
-                "mean_latency_ms",
-                "p99_latency_ms",
-                "delivered_fraction",
-                "retransmits",
-                "timeouts_fired",
-            ],
-            [
-                (loss,) + tuple(point)
-                for loss, point in zip(levels, points)
-            ],
-        )
+        fields = [column.field for column in columns]
+        write_csv(f"{ctx.csv_dir}/{filename}", fields, cells)
 
 
 @experiment("tab-mem", title="Keystroke latency under page demand")
 def _tab_mem(ctx: RunContext) -> None:
-    cells = [
-        (os_name, demand)
-        for os_name in ("linux", "nt_tse")
-        for demand in (0.5, 1.2)
-    ]
-    labels = {0.5: "<100%", 1.2: ">=100%"}
-    points = ctx.executor.map(
-        "tab-mem", partial(_tab_mem_point, seed=ctx.seed), cells, seed=ctx.seed
+    rows = sweep(
+        ctx,
+        "tab-mem",
+        partial(_tab_mem_point, seed=ctx.seed),
+        [(os_name, demand) for os_name in ("linux", "nt_tse") for demand in (0.5, 1.2)],
+        ("os", "demand"),
+        KeystrokeLatencyPoint,
     )
-    rows = [
-        (os_name, labels[demand], f"{lo:.0f}", f"{avg:.0f}", f"{hi:.0f}")
-        for (os_name, demand), (lo, avg, hi) in zip(cells, points)
+    columns = [
+        Column("OS", "os"),
+        Column("demand", "demand", {0.5: "<100%", 1.2: ">=100%"}.get),
+        Column("min", "min_ms", "{:.0f}"),
+        Column("avg", "avg_ms", "{:.0f}"),
+        Column("max", "max_ms", "{:.0f}"),
     ]
-    ctx.out.write(
-        format_table(
-            ["OS", "demand", "min", "avg", "max"],
-            rows,
-            title="§5.2: keystroke latency (ms) under page demand",
-        )
-        + "\n"
-    )
-    if ctx.csv_dir:
-        write_csv(
-            f"{ctx.csv_dir}/tab_mem_latency.csv",
-            ["os", "demand", "min_ms", "avg_ms", "max_ms"],
-            rows,
-        )
+    title = "§5.2: keystroke latency (ms) under page demand"
+    _cell_table(ctx, "tab_mem_latency.csv", columns, rows, title)
 
 
 @experiment("tab-sessions", title="Per-login session memory")
@@ -538,39 +543,23 @@ def _tab_sessions(ctx: RunContext) -> None:
 
 @experiment("tab-proto", title="Protocol comparison + VIP savings")
 def _tab_proto(ctx: RunContext) -> None:
-    protocols = ["rdp", "x", "lbx"]
-    points = ctx.executor.map(
+    rows = sweep(
+        ctx,
         "tab-proto",
         partial(_tab_proto_point, seed=ctx.seed),
-        protocols,
-        seed=ctx.seed,
+        ["rdp", "x", "lbx"],
+        ("protocol",),
+        ProtocolPoint,
     )
-    rows = [
-        (
-            name,
-            f"{total_bytes:,}",
-            f"{total_messages:,}",
-            f"{avg_size:.1f}",
-            f"{savings * 100:.2f}%",
-        )
-        for name, (total_bytes, total_messages, avg_size, savings) in zip(
-            protocols, points
-        )
+    columns = [
+        Column("protocol", "protocol"),
+        Column("bytes", "bytes", "{:,}"),
+        Column("messages", "messages", "{:,}"),
+        Column("avg size", "avg_size", "{:.1f}"),
+        Column("VIP savings", "vip_savings", "{:.2%}"),
     ]
-    ctx.out.write(
-        format_table(
-            ["protocol", "bytes", "messages", "avg size", "VIP savings"],
-            rows,
-            title="§6.1.2: protocol comparison + VIP table",
-        )
-        + "\n"
-    )
-    if ctx.csv_dir:
-        write_csv(
-            f"{ctx.csv_dir}/tab_proto.csv",
-            ["protocol", "bytes", "messages", "avg_size", "vip_savings"],
-            rows,
-        )
+    title = "§6.1.2: protocol comparison + VIP table"
+    _cell_table(ctx, "tab_proto.csv", columns, rows, title)
 
 
 @experiment("tab-setup", title="Session setup costs")
@@ -590,27 +579,17 @@ def _tab_setup(ctx: RunContext) -> None:
     )
 
 
-# Fleet, analytic, SLO, and scale experiments register here, after the
-# paper set, so ``run all`` appends them without disturbing the historical
-# order.  Registration is an explicit, idempotent call — not an import
-# side effect — so the registry order is identical no matter which
-# experiments module a process happens to import first (each of them
-# circularly imports this module at its bottom, landing right here).
-from .fleet import experiments as _fleet_experiments  # noqa: E402
-
-_fleet_experiments._register()
-
-from .analytic import experiments as _analytic_experiments  # noqa: E402
-
-_analytic_experiments._register()
-
-from .slo import experiments as _slo_experiments  # noqa: E402
-
-_slo_experiments._register()
-
-from .scale import experiments as _scale_experiments  # noqa: E402
-
-_scale_experiments._register()
+# The fleet, analytic, SLO and scale groups register after the paper set,
+# in this fixed sequence, so ``run all`` appends them without disturbing
+# the historical order.  Their modules only declare ``SPECS``; this is the
+# one place that orders them.
+for _spec in (
+    *_fleet_experiments.SPECS,
+    *_analytic_experiments.SPECS,
+    *_slo_experiments.SPECS,
+    *_scale_experiments.SPECS,
+):
+    register(_spec)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,8 +12,10 @@ registers *itself* with the :func:`experiment` decorator::
         ...
 
 and every registry consumer — ``repro list``, ``repro run``, ``repro
-trace``, ``run all`` — picks it up without a CLI change.  Third-party and
-fleet experiments therefore register exactly like the paper's figures do.
+trace``, ``run all`` — picks it up without a CLI change.  The fleet,
+analytic, SLO and scale modules instead export a ``SPECS`` tuple of
+:class:`ExperimentSpec`, which ``repro.cli`` passes to :func:`register`
+in one fixed sequence after the paper set.
 
 Two ordering contracts keep historical artifacts stable:
 

@@ -2,12 +2,29 @@
 
 The benchmark harness prints the same rows/series the paper's tables and
 figures report; these helpers keep that output aligned and consistent.
+
+Registered experiments are declared with four of them: :func:`sweep` maps
+a point function over a grid and returns one row per cell (the cell's key
+fields, then the point's record fields), a :class:`Column` list renders
+those rows as the table (:func:`format_columns`), and :func:`write_rows`
+writes the same rows as the CSV.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..errors import ExperimentError
 
@@ -78,6 +95,98 @@ def write_csv(
         writer.writerow(list(headers))
         for row in rows:
             writer.writerow(list(row))
+
+
+#: One sweep cell's row: key fields, then record fields, by name.
+Row = Dict[str, Any]
+
+
+class Column(NamedTuple):
+    """One table column: *header*, the row *field* it shows, and *fmt*.
+
+    *fmt* is a ``str.format`` pattern (``"{:.2f}"``, ``"{:.0%}"``) or a
+    callable from the field's value to the cell text.
+    """
+
+    header: str
+    field: str
+    fmt: Union[str, Callable[[Any], str]] = "{}"
+
+    def cell(self, row: Row) -> str:
+        """This column's cell for *row*."""
+        value = row[self.field]
+        return self.fmt(value) if callable(self.fmt) else self.fmt.format(value)
+
+
+def format_cells(columns: Sequence[Column], rows: Iterable[Row]) -> List[List[str]]:
+    """The formatted table cells of *rows*, one list per row."""
+    return [[column.cell(row) for column in columns] for row in rows]
+
+
+def format_columns(
+    columns: Sequence[Column],
+    rows: Iterable[Row],
+    *,
+    title: Optional[str] = None,
+) -> str:
+    """*rows* as an aligned table with one column per :class:`Column`."""
+    headers = [column.header for column in columns]
+    return format_table(headers, format_cells(columns, rows), title=title)
+
+
+def sweep(
+    ctx: Any,
+    name: str,
+    fn: Callable[[Any], Any],
+    grid: Sequence[Any],
+    keys: Sequence[str],
+    record: Any,
+    *,
+    seed: Optional[int] = None,
+) -> List[Row]:
+    """Map *fn* over *grid* through ``ctx.executor``; one :data:`Row` per cell.
+
+    A cell is a tuple of *keys* (a bare value when there is one key), and
+    *fn* returns a *record* (a ``NamedTuple`` type).  Values are matched to
+    ``record._fields`` by position, so a point cached before its record
+    type existed — a plain tuple, or a bare value for a one-field record —
+    replays into the same row.  *seed* keys the cache (default
+    ``ctx.seed``).
+    """
+    points = ctx.executor.map(name, fn, grid, seed=ctx.seed if seed is None else seed)
+    fields = (*keys, *record._fields)
+    rows = []
+    for cell, point in zip(grid, points):
+        if len(keys) == 1:
+            cell = (cell,)
+        if not isinstance(point, tuple):
+            point = (point,)
+        rows.append(dict(zip(fields, (*cell, *point))))
+    return rows
+
+
+def write_rows(
+    ctx: Any,
+    filename: str,
+    rows: Sequence[Row],
+    fields: Optional[Sequence[str]] = None,
+) -> None:
+    """Write *rows* to ``<ctx.csv_dir>/<filename>`` when ``--csv`` is set.
+
+    The header is *fields*, by default every field of the rows: the sweep's
+    key fields followed by its record's fields.
+    """
+    if ctx.csv_dir:
+        header = list(rows[0]) if fields is None else list(fields)
+        body = ([row[field] for field in header] for row in rows)
+        write_csv(f"{ctx.csv_dir}/{filename}", header, body)
+
+
+def write_series(ctx: Any, filename: str, row: Row, fields: Sequence[str]) -> None:
+    """Write one row's equal-length series *fields* as the CSV's columns."""
+    if ctx.csv_dir:
+        body = zip(*(row[field] for field in fields))
+        write_csv(f"{ctx.csv_dir}/{filename}", fields, body)
 
 
 #: Per-server fleet gauge rows, e.g. ``fleet.load.s03 (peak)`` — the

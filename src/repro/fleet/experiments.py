@@ -24,10 +24,10 @@ and warm-cache runs.
 from __future__ import annotations
 
 from functools import partial
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
-from ..core.registry import experiment
-from ..core.report import format_series, format_table, write_csv
+from ..core.registry import ExperimentSpec
+from ..core.report import Column, format_columns, format_series, sweep, write_rows
 from ..sim.stats import nearest_rank_percentile
 
 #: p99 user-perceived latency SLO (ms) a fleet configuration must hold —
@@ -97,14 +97,25 @@ def _drive_fleet(fleet, sessions: int) -> List[float]:
     return fleet.latencies_ms()
 
 
+class CapacityPoint(NamedTuple):
+    p50_ms: float
+    p99_ms: float
+    admitted: int
+    rejected: int
+    backbone_utilization: float
+
+
+class PlacementPoint(NamedTuple):
+    p50_ms: float
+    p99_ms: float
+    migrations: int
+    rejected: int
+
+
 def _fleet_capacity_point(
-    point: Tuple[int, int],
-    *,
-    seed: int,
-    faults: str = "",
-    fault_seed: int = 0,
-) -> Tuple[float, float, int, int, float]:
-    """One capacity cell: (p50, p99, admitted, rejected, backbone util)."""
+    point: Tuple[int, int], *, seed: int, faults: str = "", fault_seed: int = 0
+) -> CapacityPoint:
+    """One capacity cell: latency tail, admission counts, backbone load."""
     from ..core.server import ServerConfig
     from ..net.faults import FaultPlan
     from ..sim.rng import derive_seed
@@ -133,7 +144,7 @@ def _fleet_capacity_point(
     offered = num_servers * per_server + max(2, num_servers)
     latencies = _drive_fleet(fleet, offered)
     report = fleet.report(t0=WARMUP_MS)
-    return (
+    return CapacityPoint(
         nearest_rank_percentile(latencies, 50.0),
         nearest_rank_percentile(latencies, 99.0),
         fleet.admission.admitted_total,
@@ -165,13 +176,9 @@ def _install_hogs(fleet) -> None:
 
 
 def _fleet_placement_point(
-    policy: str,
-    *,
-    seed: int,
-    faults: str = "",
-    fault_seed: int = 0,
-) -> Tuple[float, float, int, int]:
-    """One policy race: (p50, p99, migrations, rejected) under a failure."""
+    policy: str, *, seed: int, faults: str = "", fault_seed: int = 0
+) -> PlacementPoint:
+    """One policy race under a mid-run server failure."""
     from ..core.server import ServerConfig
     from ..net.faults import FaultPlan
     from ..sim.rng import derive_seed
@@ -201,7 +208,7 @@ def _fleet_placement_point(
         WARMUP_MS + MEASURE_MS / 2, lambda: fleet.fail_server(failed_index)
     )
     latencies = _drive_fleet(fleet, PLACEMENT_SESSIONS)
-    return (
+    return PlacementPoint(
         nearest_rank_percentile(latencies, 50.0),
         nearest_rank_percentile(latencies, 99.0),
         fleet.migrations,
@@ -211,12 +218,8 @@ def _fleet_placement_point(
 
 def _fleet_capacity(ctx) -> None:
     """Sweep the (fleet size × sessions/server) grid; print the frontier."""
-    grid = [
-        (num_servers, per_server)
-        for num_servers in CAPACITY_FLEET_SIZES
-        for per_server in CAPACITY_PER_SERVER
-    ]
-    points = ctx.executor.map(
+    rows = sweep(
+        ctx,
         "fleet_capacity" + ctx.fault_suffix,
         partial(
             _fleet_capacity_point,
@@ -224,47 +227,32 @@ def _fleet_capacity(ctx) -> None:
             faults=ctx.faults or "",
             fault_seed=ctx.fault_seed,
         ),
-        grid,
-        seed=ctx.seed,
+        [(n, k) for n in CAPACITY_FLEET_SIZES for k in CAPACITY_PER_SERVER],
+        ("servers", "sessions_per_server"),
+        CapacityPoint,
     )
-    rows = [
-        (
-            num_servers,
-            per_server,
-            admitted,
-            rejected,
-            f"{p50:.1f}",
-            f"{p99:.1f}",
-            f"{util * 100:.0f}%",
-        )
-        for (num_servers, per_server), (p50, p99, admitted, rejected, util) in zip(
-            grid, points
-        )
+    columns = [
+        Column("servers", "servers"),
+        Column("sessions/server", "sessions_per_server"),
+        Column("admitted", "admitted"),
+        Column("rejected", "rejected"),
+        Column("p50 (ms)", "p50_ms", "{:.1f}"),
+        Column("p99 (ms)", "p99_ms", "{:.1f}"),
+        Column("backbone", "backbone_utilization", "{:.0%}"),
     ]
     ctx.out.write(
-        format_table(
-            [
-                "servers",
-                "sessions/server",
-                "admitted",
-                "rejected",
-                "p50 (ms)",
-                "p99 (ms)",
-                "backbone",
-            ],
+        format_columns(
+            columns,
             rows,
             title="Fleet capacity grid (shared backbone, round_robin)",
         )
         + "\n"
     )
-    by_cell = dict(zip(grid, points))
-    frontier = []
-    for num_servers in CAPACITY_FLEET_SIZES:
-        best = 0
-        for per_server in CAPACITY_PER_SERVER:
-            if by_cell[(num_servers, per_server)][1] <= SLO_P99_MS:
-                best = max(best, per_server)
-        frontier.append(best)
+    frontier = [0] * len(CAPACITY_FLEET_SIZES)
+    for row in rows:
+        if row["p99_ms"] <= SLO_P99_MS:
+            i = CAPACITY_FLEET_SIZES.index(row["servers"])
+            frontier[i] = max(frontier[i], row["sessions_per_server"])
     ctx.out.write(
         format_series(
             "servers",
@@ -276,42 +264,22 @@ def _fleet_capacity(ctx) -> None:
         )
         + "\n"
     )
-    if ctx.csv_dir:
-        write_csv(
-            f"{ctx.csv_dir}/fleet_capacity.csv",
-            [
-                "servers",
-                "sessions_per_server",
-                "admitted",
-                "rejected",
-                "p50_ms",
-                "p99_ms",
-                "backbone_utilization",
-            ],
-            [
-                (num_servers, per_server, admitted, rejected, p50, p99, util)
-                for (num_servers, per_server), (
-                    p50,
-                    p99,
-                    admitted,
-                    rejected,
-                    util,
-                ) in zip(grid, points)
-            ],
-        )
-        write_csv(
-            f"{ctx.csv_dir}/fleet_capacity_frontier.csv",
-            ["servers", "max_sessions_per_server", "fleet_sessions"],
-            [
-                (num_servers, best, num_servers * best)
-                for num_servers, best in zip(CAPACITY_FLEET_SIZES, frontier)
-            ],
-        )
+    # The CSV keeps its historical column order: admission counts first.
+    write_rows(ctx, "fleet_capacity.csv", rows, [c.field for c in columns])
+    write_rows(
+        ctx,
+        "fleet_capacity_frontier.csv",
+        [
+            {"servers": n, "max_sessions_per_server": best, "fleet_sessions": n * best}
+            for n, best in zip(CAPACITY_FLEET_SIZES, frontier)
+        ],
+    )
 
 
 def _fleet_placement(ctx) -> None:
     """Race every placement policy on the same fleet; print latency rows."""
-    points = ctx.executor.map(
+    rows = sweep(
+        ctx,
         "fleet_placement" + ctx.fault_suffix,
         partial(
             _fleet_placement_point,
@@ -320,70 +288,33 @@ def _fleet_placement(ctx) -> None:
             fault_seed=ctx.fault_seed,
         ),
         list(PLACEMENT_POLICIES_ORDER),
-        seed=ctx.seed,
+        ("policy",),
+        PlacementPoint,
     )
-    rows = [
-        (policy, f"{p50:.1f}", f"{p99:.1f}", migrations, rejected)
-        for policy, (p50, p99, migrations, rejected) in zip(
-            PLACEMENT_POLICIES_ORDER, points
-        )
+    columns = [
+        Column("policy", "policy"),
+        Column("p50 (ms)", "p50_ms", "{:.1f}"),
+        Column("p99 (ms)", "p99_ms", "{:.1f}"),
+        Column("migrations", "migrations"),
+        Column("rejected", "rejected"),
     ]
-    ctx.out.write(
-        format_table(
-            ["policy", "p50 (ms)", "p99 (ms)", "migrations", "rejected"],
-            rows,
-            title=(
-                f"Placement policies: {PLACEMENT_SESSIONS} sessions on "
-                f"{PLACEMENT_SERVERS} servers, one mid-run failure"
-            ),
-        )
-        + "\n"
+    title = (
+        f"Placement policies: {PLACEMENT_SESSIONS} sessions on "
+        f"{PLACEMENT_SERVERS} servers, one mid-run failure"
     )
-    if ctx.csv_dir:
-        write_csv(
-            f"{ctx.csv_dir}/fleet_placement.csv",
-            ["policy", "p50_ms", "p99_ms", "migrations", "rejected"],
-            [
-                (policy, p50, p99, migrations, rejected)
-                for policy, (p50, p99, migrations, rejected) in zip(
-                    PLACEMENT_POLICIES_ORDER, points
-                )
-            ],
-        )
+    ctx.out.write(format_columns(columns, rows, title=title) + "\n")
+    write_rows(ctx, "fleet_placement.csv", rows)
 
 
-_REGISTERED = False
-
-
-def _register() -> None:
-    """Register this module's experiments; idempotent.
-
-    Registry order is a compatibility surface (``run all`` order, cache
-    keys), so registration is driven by ``repro.cli`` at this module's
-    canonical position in the sequence — never by module import.  A
-    decorator at module scope would register whenever the body runs,
-    and a process whose *first* import is an experiments module defers
-    that body past the circular ``repro.cli`` import, appending its
-    experiments after every group the CLI registers in the meantime.
-    """
-    global _REGISTERED
-    if _REGISTERED:
-        return
-    _REGISTERED = True
-    experiment(
-        "fleet_capacity",
-        title="Fleet capacity: SLO sessions/server vs fleet size",
-        group="fleet",
-    )(_fleet_capacity)
-    experiment(
-        "fleet_placement",
-        title="Placement policies: p50/p99 latency under a server failure",
-        group="fleet",
-    )(_fleet_placement)
-
-
-# Importing any experiments module alone must still populate the whole
-# registry in canonical order: pull in the CLI, which calls every
-# module's ``_register`` in sequence.  Bottom-of-module so ``_register``
-# above already exists when the circular import re-enters this module.
-from .. import cli as _cli  # noqa: E402,F401
+#: This module's experiments, in ``run all`` order; ``repro.cli``
+#: registers them right after the paper set.
+SPECS = (
+    ExperimentSpec(
+        "fleet_capacity", "Fleet capacity: SLO sessions/server vs fleet size",
+        "fleet", _fleet_capacity,
+    ),
+    ExperimentSpec(
+        "fleet_placement", "Placement policies: p50/p99 latency under a server failure",
+        "fleet", _fleet_placement,
+    ),
+)

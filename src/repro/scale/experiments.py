@@ -41,8 +41,8 @@ every figure (``--jobs``, result cache, tracing all compose):
     edition).
 
 All sweeps are byte-identical across serial, ``--jobs N``, and
-cold/warm-cache runs on either kernel and either recorder — the
-``scale-determinism`` CI job diffs exactly that matrix.  Faults do not
+cold/warm-cache runs; ``tests/golden/artifacts.json`` pins their stdout,
+CSV, trace and metrics digests on every one of those paths.  Faults do not
 compose into these scenarios (the background is offered load, not a
 fault target); the sweep name still carries the fault suffix so cache
 entries stay distinct.
@@ -51,10 +51,10 @@ entries stay distinct.
 from __future__ import annotations
 
 from functools import partial
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
-from ..core.registry import experiment
-from ..core.report import format_series, format_table, write_csv
+from ..core.registry import ExperimentSpec
+from ..core.report import Column, format_columns, format_series, sweep, write_rows
 from ..sim.stats import nearest_rank_percentile
 
 #: Arrival processes raced by ``scale_load_curve`` (output row order).
@@ -149,12 +149,54 @@ CLOSED_FLEET_ECHO_BYTES = 100
 CLOSED_FLEET_CPU_MS_PER_ECHO = 0.18
 
 
-def _scale_load_curve_point(
-    point: Tuple[str, int],
-    *,
-    seed: int,
-) -> Tuple[int, float, float, float, float, float, float, float, float]:
-    """One curve cell: (n, offered, util, mean, p50, p99, p99.9, viol, burn)."""
+class LoadCurvePoint(NamedTuple):
+    samples: int
+    offered_mbps: float
+    utilization: float
+    rtt_mean_ms: float
+    rtt_p50_ms: float
+    rtt_p99_ms: float
+    rtt_p999_ms: float
+    violation_rate: float
+    budget_burn: float
+
+
+class ClosedCurvePoint(NamedTuple):
+    samples: int
+    utilization: float
+    rtt_p50_ms: float
+    rtt_p99_ms: float
+    throughput_keys_per_s: float
+    per_session_keys_per_s: float
+    response_ms: float
+    mva_throughput_bound_keys_per_s: float
+    violation_rate: float
+    budget_burn: float
+
+
+class FleetPoint(NamedTuple):
+    samples: int
+    cpu_utilization: float
+    lan_utilization: float
+    p50_ms: float
+    p99_ms: float
+    violation_rate: float
+    budget_burn: float
+
+
+class ClosedFleetPoint(NamedTuple):
+    samples: int
+    cpu_utilization: float
+    lan_utilization: float
+    keys_per_s_per_server: float
+    p50_ms: float
+    p99_ms: float
+    violation_rate: float
+    budget_burn: float
+
+
+def _scale_load_curve_point(point: Tuple[str, int], *, seed: int) -> LoadCurvePoint:
+    """One curve cell: probe RTT tail against a fluid background."""
     from ..sim.rng import derive_seed
     from .hybrid import run_load_curve_point
 
@@ -173,7 +215,7 @@ def _scale_load_curve_point(
         seed=derive_seed(seed, f"scale_load_curve:{process}:{users}"),
         mode="hybrid",
     )
-    return (
+    return LoadCurvePoint(
         obs.samples,
         obs.offered_mbps,
         obs.utilization,
@@ -186,12 +228,8 @@ def _scale_load_curve_point(
     )
 
 
-def _scale_closed_curve_point(
-    users: int,
-    *,
-    seed: int,
-) -> Tuple[int, float, float, float, float, float, float, float, float, float]:
-    """One closed cell: (n, util, p50, p99, X/s, X/s/session, R, mvaX/s, viol, burn)."""
+def _scale_closed_curve_point(users: int, *, seed: int) -> ClosedCurvePoint:
+    """One closed cell: probe tail, throughput, and the MVA bound."""
     from ..sim.rng import derive_seed
     from .hybrid import run_closed_curve_point
 
@@ -208,7 +246,7 @@ def _scale_closed_curve_point(
         seed=derive_seed(seed, f"scale_closed_curve:{users}"),
         mode="hybrid",
     )
-    return (
+    return ClosedCurvePoint(
         obs.samples,
         obs.utilization,
         obs.rtt_p50_ms,
@@ -222,15 +260,33 @@ def _scale_closed_curve_point(
     )
 
 
-def _drive_probe_fleet(fleet, measure_ms: float):
-    """Pin probe sessions, warm up, attach a tracker, and measure.
+def _run_probe_fleet(seed: int, label: str, spec):
+    """Run the co-safe probe fleet with *spec* on every server.
 
-    Mirrors the slo experiments' driver, with placement pinned: probe
-    ``p<server>.<k>`` lands on server ``<server>``, so every server's
-    background population is measured through a session *on that server*.
+    Placement is pinned: probe ``p<server>.<k>`` lands on server
+    ``<server>``, so every server's background population is measured
+    through a session *on that server*.  The SLO tracker attaches after
+    warmup.  Returns the corrected probe latencies, the fleet report,
+    server 0's LAN utilization, and the tracker.
     """
+    from ..core.server import ServerConfig
+    from ..fleet.cluster import Fleet, FleetConfig
+    from ..sim.rng import derive_seed
     from ..slo.budget import LatencyBudget, SloTracker
 
+    config = FleetConfig(
+        server=ServerConfig.tse(include_idle_activity=False),
+        num_servers=FLEET_SERVERS,
+        placement="round_robin",
+        admission_mode="reject",
+        capacity_per_server=FLEET_PROBES_PER_SERVER,
+        backbone_mbps=FLEET_BACKBONE_MBPS,
+        co_safe_sessions=True,
+    )
+    fleet = Fleet(config, seed=derive_seed(seed, label))
+    horizon = FLEET_WARMUP_MS + FLEET_MEASURE_MS
+    for index in range(FLEET_SERVERS):
+        fleet.attach_background(index, spec, horizon_ms=horizon)
     rates = [2.0, 4.0]
     for index in range(len(fleet.servers)):
         for k in range(FLEET_PROBES_PER_SERVER):
@@ -248,34 +304,18 @@ def _drive_probe_fleet(fleet, measure_ms: float):
         LatencyBudget("interaction", FLEET_BUDGET_MS, target=FLEET_SLO_TARGET)
     )
     fleet.slo_tracker = tracker
-    fleet.run(measure_ms)
-    return tracker
+    fleet.run(FLEET_MEASURE_MS)
+    corrected = fleet.corrected_latencies_ms()
+    report = fleet.report(t0=FLEET_WARMUP_MS)
+    lan_util = fleet.backgrounds[0].utilization(FLEET_WARMUP_MS, horizon)
+    return corrected, report, lan_util, tracker
 
 
-def _scale_fleet_point(
-    cell: Tuple[str, int],
-    *,
-    seed: int,
-) -> Tuple[int, float, float, float, float, float, float]:
-    """One frontier cell: (n, cpu util, lan util, p50, p99, viol, burn)."""
-    from ..core.server import ServerConfig
-    from ..fleet.cluster import Fleet, FleetConfig
-    from ..sim.rng import derive_seed
+def _scale_fleet_point(cell: Tuple[str, int], *, seed: int) -> FleetPoint:
+    """One frontier cell: utilization and corrected probe tail."""
     from .population import PopulationSpec
 
     process, bg_users = cell
-    config = FleetConfig(
-        server=ServerConfig.tse(include_idle_activity=False),
-        num_servers=FLEET_SERVERS,
-        placement="round_robin",
-        admission_mode="reject",
-        capacity_per_server=FLEET_PROBES_PER_SERVER,
-        backbone_mbps=FLEET_BACKBONE_MBPS,
-        co_safe_sessions=True,
-    )
-    fleet = Fleet(
-        config, seed=derive_seed(seed, f"scale_fleet:{process}:{bg_users}")
-    )
     spec = PopulationSpec(
         users=bg_users,
         per_user_bps=FLEET_PER_USER_BPS,
@@ -285,14 +325,10 @@ def _scale_fleet_point(
         cpu_ms_per_packet=FLEET_CPU_MS_PER_PACKET,
         cpu_threads=FLEET_CPU_THREADS,
     )
-    horizon = FLEET_WARMUP_MS + FLEET_MEASURE_MS
-    for index in range(FLEET_SERVERS):
-        fleet.attach_background(index, spec, horizon_ms=horizon)
-    tracker = _drive_probe_fleet(fleet, FLEET_MEASURE_MS)
-    corrected = fleet.corrected_latencies_ms()
-    report = fleet.report(t0=FLEET_WARMUP_MS)
-    lan_util = fleet.backgrounds[0].utilization(FLEET_WARMUP_MS, horizon)
-    return (
+    corrected, report, lan_util, tracker = _run_probe_fleet(
+        seed, f"scale_fleet:{process}:{bg_users}", spec
+    )
+    return FleetPoint(
         len(corrected),
         float(report["servers"][0]["cpu_utilization"]),
         lan_util,
@@ -303,29 +339,10 @@ def _scale_fleet_point(
     )
 
 
-def _scale_closed_fleet_point(
-    bg_sessions: int,
-    *,
-    seed: int,
-) -> Tuple[int, float, float, float, float, float, float, float]:
-    """One closed frontier cell: (n, cpu, lan, keys/s, p50, p99, viol, burn)."""
-    from ..core.server import ServerConfig
-    from ..fleet.cluster import Fleet, FleetConfig
-    from ..sim.rng import derive_seed
+def _scale_closed_fleet_point(bg_sessions: int, *, seed: int) -> ClosedFleetPoint:
+    """One closed frontier cell: utilization, keys/s, corrected tail."""
     from .population import ClosedLoopSpec
 
-    config = FleetConfig(
-        server=ServerConfig.tse(include_idle_activity=False),
-        num_servers=FLEET_SERVERS,
-        placement="round_robin",
-        admission_mode="reject",
-        capacity_per_server=FLEET_PROBES_PER_SERVER,
-        backbone_mbps=FLEET_BACKBONE_MBPS,
-        co_safe_sessions=True,
-    )
-    fleet = Fleet(
-        config, seed=derive_seed(seed, f"scale_closed_fleet:{bg_sessions}")
-    )
     spec = ClosedLoopSpec(
         users=bg_sessions,
         think_ms=CLOSED_FLEET_THINK_MS,
@@ -337,14 +354,10 @@ def _scale_closed_fleet_point(
         cpu_ms_per_echo=CLOSED_FLEET_CPU_MS_PER_ECHO,
         cpu_threads=FLEET_CPU_THREADS,
     )
-    horizon = FLEET_WARMUP_MS + FLEET_MEASURE_MS
-    for index in range(FLEET_SERVERS):
-        fleet.attach_background(index, spec, horizon_ms=horizon)
-    tracker = _drive_probe_fleet(fleet, FLEET_MEASURE_MS)
-    corrected = fleet.corrected_latencies_ms()
-    report = fleet.report(t0=FLEET_WARMUP_MS)
-    lan_util = fleet.backgrounds[0].utilization(FLEET_WARMUP_MS, horizon)
-    return (
+    corrected, report, lan_util, tracker = _run_probe_fleet(
+        seed, f"scale_closed_fleet:{bg_sessions}", spec
+    )
+    return ClosedFleetPoint(
         len(corrected),
         float(report["servers"][0]["cpu_utilization"]),
         lan_util,
@@ -358,143 +371,62 @@ def _scale_closed_fleet_point(
 
 def _scale_load_curve(ctx) -> None:
     """Sweep both processes over the population axis; print the knee."""
-    grid = [
-        (process, users)
-        for process in LOAD_CURVE_PROCESSES
-        for users in LOAD_CURVE_USERS
-    ]
-    points = ctx.executor.map(
+    rows = sweep(
+        ctx,
         "scale_load_curve" + ctx.fault_suffix,
         partial(_scale_load_curve_point, seed=ctx.seed),
-        grid,
-        seed=ctx.seed,
+        [(p, users) for p in LOAD_CURVE_PROCESSES for users in LOAD_CURVE_USERS],
+        ("process", "users"),
+        LoadCurvePoint,
     )
-    by_cell = dict(zip(grid, points))
-    rows = [
-        (
-            process,
-            users,
-            f"{offered:.2f}",
-            f"{util * 100:.0f}%",
-            n,
-            f"{rtt_mean:.2f}",
-            f"{p50:.2f}",
-            f"{p99:.2f}",
-            f"{p999:.2f}",
-            f"{viol * 100:.2f}%",
-            f"{burn:.2f}",
-        )
-        for (process, users), (
-            n,
-            offered,
-            util,
-            rtt_mean,
-            p50,
-            p99,
-            p999,
-            viol,
-            burn,
-        ) in zip(grid, points)
+    columns = [
+        Column("process", "process"),
+        Column("users", "users"),
+        Column("offered (Mbps)", "offered_mbps", "{:.2f}"),
+        Column("util", "utilization", "{:.0%}"),
+        Column("n", "samples"),
+        Column("mean (ms)", "rtt_mean_ms", "{:.2f}"),
+        Column("p50 (ms)", "rtt_p50_ms", "{:.2f}"),
+        Column("p99 (ms)", "rtt_p99_ms", "{:.2f}"),
+        Column("p99.9 (ms)", "rtt_p999_ms", "{:.2f}"),
+        Column("viol rate", "violation_rate", "{:.2%}"),
+        Column("burn (10 ms)", "budget_burn", "{:.2f}"),
     ]
-    ctx.out.write(
-        format_table(
-            [
-                "process",
-                "users",
-                "offered (Mbps)",
-                "util",
-                "n",
-                "mean (ms)",
-                "p50 (ms)",
-                "p99 (ms)",
-                "p99.9 (ms)",
-                "viol rate",
-                "burn (10 ms)",
-            ],
-            rows,
-            title=(
-                "RTT vs population on the shared wire "
-                f"({LOAD_CURVE_PER_USER_BPS:.0f} bps/user, exact probes)"
-            ),
-        )
-        + "\n"
+    title = (
+        "RTT vs population on the shared wire "
+        f"({LOAD_CURVE_PER_USER_BPS:.0f} bps/user, exact probes)"
     )
+    ctx.out.write(format_columns(columns, rows, title=title) + "\n")
+    poisson = [row for row in rows if row["process"] == "poisson"]
     ctx.out.write(
         format_series(
             "users",
             "probe RTT p99 (ms), poisson",
-            [str(users) for users in LOAD_CURVE_USERS],
-            [by_cell[("poisson", users)][5] for users in LOAD_CURVE_USERS],
+            [str(row["users"]) for row in poisson],
+            [row["rtt_p99_ms"] for row in poisson],
             title="The Figure 8 knee, three orders of magnitude later",
             y_format="{:.2f}",
         )
         + "\n"
     )
-    if ctx.csv_dir:
-        write_csv(
-            f"{ctx.csv_dir}/scale_load_curve.csv",
-            [
-                "process",
-                "users",
-                "samples",
-                "offered_mbps",
-                "utilization",
-                "rtt_mean_ms",
-                "rtt_p50_ms",
-                "rtt_p99_ms",
-                "rtt_p999_ms",
-                "violation_rate",
-                "budget_burn",
-            ],
-            [
-                (process, users, n, offered, util, rtt_mean, p50, p99, p999, viol, burn)
-                for (process, users), (
-                    n,
-                    offered,
-                    util,
-                    rtt_mean,
-                    p50,
-                    p99,
-                    p999,
-                    viol,
-                    burn,
-                ) in zip(grid, points)
-            ],
-        )
+    write_rows(ctx, "scale_load_curve.csv", rows)
 
 
 def _scale_closed_curve(ctx) -> None:
     """Sweep closed-loop sessions over the population axis; mark the knee."""
     from ..analytic.mva import saturation_population
-
-    points = ctx.executor.map(
-        "scale_closed_curve" + ctx.fault_suffix,
-        partial(_scale_closed_curve_point, seed=ctx.seed),
-        CLOSED_CURVE_USERS,
-        seed=ctx.seed,
-    )
-    by_users = dict(zip(CLOSED_CURVE_USERS, points))
-    rows = [
-        (
-            users,
-            f"{util * 100:.0f}%",
-            n,
-            f"{p50:.2f}",
-            f"{p99:.2f}",
-            f"{xps:.0f}",
-            f"{per_session:.4f}",
-            f"{resp:.1f}",
-            f"{mva_xps:.0f}",
-            f"{viol * 100:.2f}%",
-        )
-        for users, (n, util, p50, p99, xps, per_session, resp, mva_xps, viol, _) in zip(
-            CLOSED_CURVE_USERS, points
-        )
-    ]
     from ..net.loadgen import DEFAULT_KEYSTROKE_BYTES
     from ..units import mbps_to_bytes_per_ms
     from .population import DEFAULT_ECHO_BYTES
 
+    rows = sweep(
+        ctx,
+        "scale_closed_curve" + ctx.fault_suffix,
+        partial(_scale_closed_curve_point, seed=ctx.seed),
+        CLOSED_CURVE_USERS,
+        ("sessions",),
+        ClosedCurvePoint,
+    )
     demand_ms = (DEFAULT_KEYSTROKE_BYTES + DEFAULT_ECHO_BYTES) / (
         mbps_to_bytes_per_ms(CLOSED_CURVE_BANDWIDTH_MBPS)
     )
@@ -502,285 +434,137 @@ def _scale_closed_curve(ctx) -> None:
         CLOSED_CURVE_THINK_MS / CLOSED_CURVE_BURST_KEYS + CLOSED_CURVE_TYPE_MS
     )
     knee = saturation_population(think_per_round, [demand_ms])
-    ctx.out.write(
-        format_table(
-            [
-                "sessions",
-                "util",
-                "n",
-                "p50 (ms)",
-                "p99 (ms)",
-                "X (keys/s)",
-                "keys/s/session",
-                "R (ms)",
-                "MVA X bound",
-                "viol rate",
-            ],
-            rows,
-            title=(
-                "Closed-loop typing sessions on the shared wire "
-                f"(MVA knee N* = {knee:,.0f}, exact probes)"
-            ),
-        )
-        + "\n"
+    columns = [
+        Column("sessions", "sessions"),
+        Column("util", "utilization", "{:.0%}"),
+        Column("n", "samples"),
+        Column("p50 (ms)", "rtt_p50_ms", "{:.2f}"),
+        Column("p99 (ms)", "rtt_p99_ms", "{:.2f}"),
+        Column("X (keys/s)", "throughput_keys_per_s", "{:.0f}"),
+        Column("keys/s/session", "per_session_keys_per_s", "{:.4f}"),
+        Column("R (ms)", "response_ms", "{:.1f}"),
+        Column("MVA X bound", "mva_throughput_bound_keys_per_s", "{:.0f}"),
+        Column("viol rate", "violation_rate", "{:.2%}"),
+    ]
+    title = (
+        "Closed-loop typing sessions on the shared wire "
+        f"(MVA knee N* = {knee:,.0f}, exact probes)"
     )
+    ctx.out.write(format_columns(columns, rows, title=title) + "\n")
     ctx.out.write(
         format_series(
             "sessions",
             "per-session throughput (keys/s)",
-            [str(users) for users in CLOSED_CURVE_USERS],
-            [by_users[users][5] for users in CLOSED_CURVE_USERS],
+            [str(row["sessions"]) for row in rows],
+            [row["per_session_keys_per_s"] for row in rows],
             title="The MVA knee: flat until N*, then 1/N decay",
             y_format="{:.4f}",
         )
         + "\n"
     )
-    if ctx.csv_dir:
-        write_csv(
-            f"{ctx.csv_dir}/scale_closed_curve.csv",
-            [
-                "sessions",
-                "samples",
-                "utilization",
-                "rtt_p50_ms",
-                "rtt_p99_ms",
-                "throughput_keys_per_s",
-                "per_session_keys_per_s",
-                "response_ms",
-                "mva_throughput_bound_keys_per_s",
-                "violation_rate",
-                "budget_burn",
-            ],
-            [
-                (users, n, util, p50, p99, xps, per_session, resp, mva_xps, viol, burn)
-                for users, (
-                    n,
-                    util,
-                    p50,
-                    p99,
-                    xps,
-                    per_session,
-                    resp,
-                    mva_xps,
-                    viol,
-                    burn,
-                ) in zip(CLOSED_CURVE_USERS, points)
-            ],
-        )
+    write_rows(ctx, "scale_closed_curve.csv", rows)
 
 
 def _scale_fleet(ctx) -> None:
     """Sweep background population per server; print the p99 frontier."""
-    grid = [
-        (process, bg_users)
-        for process in FLEET_PROCESSES
-        for bg_users in FLEET_BG_USERS
-    ]
-    points = ctx.executor.map(
+    rows = sweep(
+        ctx,
         "scale_fleet" + ctx.fault_suffix,
         partial(_scale_fleet_point, seed=ctx.seed),
-        grid,
-        seed=ctx.seed,
+        [(p, users) for p in FLEET_PROCESSES for users in FLEET_BG_USERS],
+        ("process", "bg_users_per_server"),
+        FleetPoint,
     )
-    by_cell = dict(zip(grid, points))
-    rows = [
-        (
-            process,
-            bg_users,
-            n,
-            f"{cpu * 100:.0f}%",
-            f"{lan * 100:.0f}%",
-            f"{p50:.1f}",
-            f"{p99:.1f}",
-            f"{viol * 100:.2f}%",
-            f"{burn:.2f}",
-        )
-        for (process, bg_users), (n, cpu, lan, p50, p99, viol, burn) in zip(
-            grid, points
-        )
+    columns = [
+        Column("process", "process"),
+        Column("bg users/server", "bg_users_per_server"),
+        Column("n", "samples"),
+        Column("cpu", "cpu_utilization", "{:.0%}"),
+        Column("lan", "lan_utilization", "{:.0%}"),
+        Column("p50 (ms)", "p50_ms", "{:.1f}"),
+        Column("p99 (ms)", "p99_ms", "{:.1f}"),
+        Column("viol rate", "violation_rate", "{:.2%}"),
+        Column(f"burn ({FLEET_BUDGET_MS:.0f} ms)", "budget_burn", "{:.2f}"),
     ]
-    ctx.out.write(
-        format_table(
-            [
-                "process",
-                "bg users/server",
-                "n",
-                "cpu",
-                "lan",
-                "p50 (ms)",
-                "p99 (ms)",
-                "viol rate",
-                f"burn ({FLEET_BUDGET_MS:.0f} ms)",
-            ],
-            rows,
-            title=(
-                f"Capacity frontier at population scale: {FLEET_SERVERS} "
-                f"servers, {FLEET_PROBES_PER_SERVER} pinned probes each, "
-                "corrected latencies"
-            ),
-        )
-        + "\n"
+    title = (
+        f"Capacity frontier at population scale: {FLEET_SERVERS} "
+        f"servers, {FLEET_PROBES_PER_SERVER} pinned probes each, "
+        "corrected latencies"
     )
+    ctx.out.write(format_columns(columns, rows, title=title) + "\n")
+    onoff = [row for row in rows if row["process"] == "onoff"]
     ctx.out.write(
         format_series(
             "bg users/server",
             "probe p99 (ms), onoff",
-            [str(bg_users) for bg_users in FLEET_BG_USERS],
-            [by_cell[("onoff", bg_users)][4] for bg_users in FLEET_BG_USERS],
+            [str(row["bg_users_per_server"]) for row in onoff],
+            [row["p99_ms"] for row in onoff],
             title="What a bursty million-user farm does to the tail",
             y_format="{:.1f}",
         )
         + "\n"
     )
-    if ctx.csv_dir:
-        write_csv(
-            f"{ctx.csv_dir}/scale_fleet.csv",
-            [
-                "process",
-                "bg_users_per_server",
-                "samples",
-                "cpu_utilization",
-                "lan_utilization",
-                "p50_ms",
-                "p99_ms",
-                "violation_rate",
-                "budget_burn",
-            ],
-            [
-                (process, bg_users, n, cpu, lan, p50, p99, viol, burn)
-                for (process, bg_users), (n, cpu, lan, p50, p99, viol, burn) in zip(
-                    grid, points
-                )
-            ],
-        )
+    write_rows(ctx, "scale_fleet.csv", rows)
 
 
 def _scale_closed_fleet(ctx) -> None:
     """Sweep typing sessions per server; print the self-throttling frontier."""
-    points = ctx.executor.map(
+    rows = sweep(
+        ctx,
         "scale_closed_fleet" + ctx.fault_suffix,
         partial(_scale_closed_fleet_point, seed=ctx.seed),
         CLOSED_FLEET_BG_SESSIONS,
-        seed=ctx.seed,
+        ("bg_sessions_per_server",),
+        ClosedFleetPoint,
     )
-    by_cell = dict(zip(CLOSED_FLEET_BG_SESSIONS, points))
-    rows = [
-        (
-            bg_sessions,
-            n,
-            f"{cpu * 100:.0f}%",
-            f"{lan * 100:.0f}%",
-            f"{keys_s:.0f}",
-            f"{p50:.1f}",
-            f"{p99:.1f}",
-            f"{viol * 100:.2f}%",
-            f"{burn:.2f}",
-        )
-        for bg_sessions, (n, cpu, lan, keys_s, p50, p99, viol, burn) in zip(
-            CLOSED_FLEET_BG_SESSIONS, points
-        )
+    columns = [
+        Column("sessions/server", "bg_sessions_per_server"),
+        Column("n", "samples"),
+        Column("cpu", "cpu_utilization", "{:.0%}"),
+        Column("lan", "lan_utilization", "{:.0%}"),
+        Column("keys/s", "keys_per_s_per_server", "{:.0f}"),
+        Column("p50 (ms)", "p50_ms", "{:.1f}"),
+        Column("p99 (ms)", "p99_ms", "{:.1f}"),
+        Column("viol rate", "violation_rate", "{:.2%}"),
+        Column(f"burn ({FLEET_BUDGET_MS:.0f} ms)", "budget_burn", "{:.2f}"),
     ]
-    ctx.out.write(
-        format_table(
-            [
-                "sessions/server",
-                "n",
-                "cpu",
-                "lan",
-                "keys/s",
-                "p50 (ms)",
-                "p99 (ms)",
-                "viol rate",
-                f"burn ({FLEET_BUDGET_MS:.0f} ms)",
-            ],
-            rows,
-            title=(
-                f"Closed-loop capacity frontier: {FLEET_SERVERS} servers, "
-                f"{FLEET_PROBES_PER_SERVER} pinned probes each, typing "
-                "sessions that block on their echoes"
-            ),
-        )
-        + "\n"
+    title = (
+        f"Closed-loop capacity frontier: {FLEET_SERVERS} servers, "
+        f"{FLEET_PROBES_PER_SERVER} pinned probes each, typing "
+        "sessions that block on their echoes"
     )
+    ctx.out.write(format_columns(columns, rows, title=title) + "\n")
     ctx.out.write(
         format_series(
             "sessions/server",
             "probe p99 (ms)",
-            [str(bg_sessions) for bg_sessions in CLOSED_FLEET_BG_SESSIONS],
-            [by_cell[bg_sessions][5] for bg_sessions in CLOSED_FLEET_BG_SESSIONS],
+            [str(row["bg_sessions_per_server"]) for row in rows],
+            [row["p99_ms"] for row in rows],
             title="Self-throttling sessions still have a frontier",
             y_format="{:.1f}",
         )
         + "\n"
     )
-    if ctx.csv_dir:
-        write_csv(
-            f"{ctx.csv_dir}/scale_closed_fleet.csv",
-            [
-                "bg_sessions_per_server",
-                "samples",
-                "cpu_utilization",
-                "lan_utilization",
-                "keys_per_s_per_server",
-                "p50_ms",
-                "p99_ms",
-                "violation_rate",
-                "budget_burn",
-            ],
-            [
-                (bg_sessions, n, cpu, lan, keys_s, p50, p99, viol, burn)
-                for bg_sessions, (
-                    n,
-                    cpu,
-                    lan,
-                    keys_s,
-                    p50,
-                    p99,
-                    viol,
-                    burn,
-                ) in zip(CLOSED_FLEET_BG_SESSIONS, points)
-            ],
-        )
+    write_rows(ctx, "scale_closed_fleet.csv", rows)
 
 
-_REGISTERED = False
-
-
-def _register() -> None:
-    """Register this module's experiments; idempotent.
-
-    Driven by ``repro.cli`` at this module's canonical position in the
-    registration sequence (see ``repro.fleet.experiments._register`` for
-    why import-time decorators would make registry order depend on which
-    module a process imports first).
-    """
-    global _REGISTERED
-    if _REGISTERED:
-        return
-    _REGISTERED = True
-    experiment(
-        "scale_load_curve",
-        title="RTT vs load at 10^4-10^6 background users (hybrid tier)",
-        group="scale",
-    )(_scale_load_curve)
-    experiment(
-        "scale_closed_curve",
-        title="Closed-loop X(N) and the MVA knee at 10^3-10^6 sessions",
-        group="scale",
-    )(_scale_closed_curve)
-    experiment(
-        "scale_fleet",
-        title="Capacity frontier with vectorized background populations",
-        group="scale",
-    )(_scale_fleet)
-    experiment(
-        "scale_closed_fleet",
-        title="Capacity frontier with closed-loop typing backgrounds",
-        group="scale",
-    )(_scale_closed_fleet)
-
-
-# Importing any experiments module alone must still populate the whole
-# registry in canonical order: pull in the CLI, which calls every
-# module's ``_register`` in sequence.
-from .. import cli as _cli  # noqa: E402,F401
+#: This module's experiments, in ``run all`` order; ``repro.cli``
+#: registers them after the SLO group.
+SPECS = (
+    ExperimentSpec(
+        "scale_load_curve", "RTT vs load at 10^4-10^6 background users (hybrid tier)",
+        "scale", _scale_load_curve,
+    ),
+    ExperimentSpec(
+        "scale_closed_curve", "Closed-loop X(N) and the MVA knee at 10^3-10^6 sessions",
+        "scale", _scale_closed_curve,
+    ),
+    ExperimentSpec(
+        "scale_fleet", "Capacity frontier with vectorized background populations",
+        "scale", _scale_fleet,
+    ),
+    ExperimentSpec(
+        "scale_closed_fleet", "Capacity frontier with closed-loop typing backgrounds",
+        "scale", _scale_closed_fleet,
+    ),
+)

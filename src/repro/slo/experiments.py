@@ -26,16 +26,17 @@ The chaos grid deliberately sweeps its *own* fault specs (that is the
 grid's x-axis), so the global ``--faults`` flag is not composed into the
 cells; the sweep name still carries the fault suffix so cache entries
 stay distinct.  All sweeps are byte-identical across serial, ``--jobs N``,
-and warm-cache runs on either kernel.
+and warm-cache runs; ``tests/golden/artifacts.json`` pins their digests.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
-from ..core.registry import experiment
-from ..core.report import format_series, format_table, write_csv
+from ..core.registry import ExperimentSpec
+from ..core.report import Column, format_columns, format_series, sweep, write_rows
+from ..fleet.experiments import PLACEMENT_POLICIES_ORDER
 from ..sim.stats import nearest_rank_percentile
 
 #: ``slo_burst`` probe budget: the paper's 10 ms computing threshold.
@@ -79,13 +80,7 @@ CHAOS_BACKBONE_MBPS = 1.0
 CHAOS_BUDGET_MS = 100.0
 
 #: Placement policies raced by ``slo_fleet`` (output row order).
-FLEET_POLICIES_ORDER = [
-    "random",
-    "round_robin",
-    "least_loaded",
-    "latency_aware",
-    "session_affinity",
-]
+FLEET_POLICIES_ORDER = PLACEMENT_POLICIES_ORDER
 
 #: ``slo_fleet`` fleet shape: servers, per-server cap, sessions, budget.
 FLEET_SERVERS = 4
@@ -103,14 +98,38 @@ MEASURE_MS = 4_000.0
 FLEET_MEASURE_MS = 10_000.0
 
 
+class BurstPoint(NamedTuple):
+    samples: int
+    utilization: float
+    p50_ms: float
+    p90_ms: float
+    p99_ms: float
+    violation_rate: float
+    budget_burn: float
+
+
+class ChaosGridPoint(NamedTuple):
+    n_uncorrected: int
+    n_corrected: int
+    p99_uncorrected_ms: float
+    p99_corrected_ms: float
+    violation_rate: float
+    budget_burn: float
+    missed_ticks: int
+
+
+class SloFleetPoint(NamedTuple):
+    p99_ms: float
+    p999_ms: float
+    budget_burn: float
+    worst_window_burn: float
+    migrations: int
+
+
 def _slo_burst_point(
-    point: Tuple[str, float],
-    *,
-    seed: int,
-    faults: str = "",
-    fault_seed: int = 0,
-) -> Tuple[int, float, float, float, float, float, float]:
-    """One burst cell: (n, util, p50, p90, p99, viol rate, burn).
+    point: Tuple[str, float], *, seed: int, faults: str = "", fault_seed: int = 0
+) -> BurstPoint:
+    """One burst cell: probe delay tail, violations and burn.
 
     Open-loop probes are coordinated-omission-safe by construction — the
     probe stream never waits for an answer, so every intended send happens
@@ -164,7 +183,7 @@ def _slo_burst_point(
     sim.run_until(BURST_DURATION_MS)
     load.stop()
     report = tracker.report()
-    return (
+    return BurstPoint(
         report.samples,
         link.utilization(BURST_WARMUP_MS, BURST_DURATION_MS),
         report.percentiles[0],
@@ -212,12 +231,9 @@ def _drive_co_fleet(
 
 
 def _slo_chaos_point(
-    cell: Tuple[str, str, int],
-    *,
-    seed: int,
-    fault_seed: int = 0,
-) -> Tuple[int, int, float, float, float, float, int]:
-    """One chaos cell: (n_unc, n_cor, p99_unc, p99_cor, viol, burn, missed)."""
+    cell: Tuple[str, str, int], *, seed: int, fault_seed: int = 0
+) -> ChaosGridPoint:
+    """One chaos cell: uncorrected vs corrected tail, burn, missed ticks."""
     from ..core.server import ServerConfig
     from ..net.faults import FaultPlan
     from ..sim.rng import derive_seed
@@ -245,7 +261,7 @@ def _slo_chaos_point(
     tracker = _drive_co_fleet(fleet, sessions, MEASURE_MS)
     uncorrected = fleet.latencies_ms()
     corrected = fleet.corrected_latencies_ms()
-    return (
+    return ChaosGridPoint(
         len(uncorrected),
         len(corrected),
         nearest_rank_percentile(uncorrected, 99.0),
@@ -257,13 +273,9 @@ def _slo_chaos_point(
 
 
 def _slo_fleet_point(
-    policy: str,
-    *,
-    seed: int,
-    faults: str = "",
-    fault_seed: int = 0,
-) -> Tuple[float, float, float, float, int]:
-    """One policy race: (p99, p99.9, burn, worst burn, migrations)."""
+    policy: str, *, seed: int, faults: str = "", fault_seed: int = 0
+) -> SloFleetPoint:
+    """One policy race: corrected tail, burn, and migrations."""
     from ..core.server import ServerConfig
     from ..net.faults import FaultPlan
     from ..sim.rng import derive_seed
@@ -300,7 +312,7 @@ def _slo_fleet_point(
         budget_ms=FLEET_BUDGET_MS,
     )
     corrected = sorted(fleet.corrected_latencies_ms())
-    return (
+    return SloFleetPoint(
         nearest_rank_percentile(corrected, 99.0),
         nearest_rank_percentile(corrected, 99.9),
         tracker.budget_burn,
@@ -311,12 +323,8 @@ def _slo_fleet_point(
 
 def _slo_burst(ctx) -> None:
     """Race both arrival processes over the rho sweep; print tail blow-up."""
-    grid = [
-        (process, rho)
-        for process in BURST_PROCESSES
-        for rho in BURST_RHO_LEVELS
-    ]
-    points = ctx.executor.map(
+    rows = sweep(
+        ctx,
         "slo_burst" + ctx.fault_suffix,
         partial(
             _slo_burst_point,
@@ -324,169 +332,82 @@ def _slo_burst(ctx) -> None:
             faults=ctx.faults or "",
             fault_seed=ctx.fault_seed,
         ),
-        grid,
-        seed=ctx.seed,
+        [(process, rho) for process in BURST_PROCESSES for rho in BURST_RHO_LEVELS],
+        ("process", "rho"),
+        BurstPoint,
     )
-    by_cell = dict(zip(grid, points))
-    rows = [
-        (
-            process,
-            f"{rho:.2f}",
-            n,
-            f"{util * 100:.0f}%",
-            f"{p50:.2f}",
-            f"{p90:.2f}",
-            f"{p99:.2f}",
-            f"{viol * 100:.2f}%",
-            f"{burn:.2f}",
-        )
-        for (process, rho), (n, util, p50, p90, p99, viol, burn) in zip(
-            grid, points
-        )
+    columns = [
+        Column("process", "process"),
+        Column("rho", "rho", "{:.2f}"),
+        Column("n", "samples"),
+        Column("util", "utilization", "{:.0%}"),
+        Column("p50 (ms)", "p50_ms", "{:.2f}"),
+        Column("p90 (ms)", "p90_ms", "{:.2f}"),
+        Column("p99 (ms)", "p99_ms", "{:.2f}"),
+        Column("viol rate", "violation_rate", "{:.2%}"),
+        Column(f"burn ({BURST_BUDGET_MS:.0f} ms)", "budget_burn", "{:.2f}"),
     ]
     ctx.out.write(
-        format_table(
-            [
-                "process",
-                "rho",
-                "n",
-                "util",
-                "p50 (ms)",
-                "p90 (ms)",
-                "p99 (ms)",
-                "viol rate",
-                f"burn ({BURST_BUDGET_MS:.0f} ms)",
-            ],
+        format_columns(
+            columns,
             rows,
             title="Equal-mean load, unequal tails (10 ms probe budget)",
         )
         + "\n"
     )
+    p99 = {(row["process"], row["rho"]): row["p99_ms"] for row in rows}
     ctx.out.write(
         format_series(
             "rho",
             "p99 blow-up (onoff / poisson)",
             [f"{rho:.2f}" for rho in BURST_RHO_LEVELS],
-            [
-                by_cell[("onoff", rho)][4] / by_cell[("poisson", rho)][4]
-                for rho in BURST_RHO_LEVELS
-            ],
+            [p99["onoff", rho] / p99["poisson", rho] for rho in BURST_RHO_LEVELS],
             title="Tail amplification from burstiness alone",
             y_format="{:.2f}x",
         )
         + "\n"
     )
-    if ctx.csv_dir:
-        write_csv(
-            f"{ctx.csv_dir}/slo_burst.csv",
-            [
-                "process",
-                "rho",
-                "samples",
-                "utilization",
-                "p50_ms",
-                "p90_ms",
-                "p99_ms",
-                "violation_rate",
-                "budget_burn",
-            ],
-            [
-                (process, rho, n, util, p50, p90, p99, viol, burn)
-                for (process, rho), (n, util, p50, p90, p99, viol, burn) in zip(
-                    grid, points
-                )
-            ],
-        )
+    write_rows(ctx, "slo_burst.csv", rows)
 
 
 def _slo_chaos_grid(ctx) -> None:
     """Sweep fault scenarios against session counts on a co-safe fleet."""
-    grid = [
-        (label, spec, sessions)
-        for (label, spec) in CHAOS_SCENARIOS
-        for sessions in CHAOS_SESSIONS
-    ]
-    points = ctx.executor.map(
+    rows = sweep(
+        ctx,
         "slo_chaos_grid" + ctx.fault_suffix,
         partial(_slo_chaos_point, seed=ctx.seed, fault_seed=ctx.fault_seed),
-        grid,
-        seed=ctx.seed,
+        [
+            (label, spec, sessions)
+            for (label, spec) in CHAOS_SCENARIOS
+            for sessions in CHAOS_SESSIONS
+        ],
+        ("fault", "spec", "sessions"),
+        ChaosGridPoint,
     )
-    rows = [
-        (
-            label,
-            sessions,
-            n_unc,
-            n_cor,
-            f"{p99_unc:.1f}",
-            f"{p99_cor:.1f}",
-            f"{viol * 100:.2f}%",
-            f"{burn:.2f}",
-            missed,
-        )
-        for (label, __, sessions), (
-            n_unc,
-            n_cor,
-            p99_unc,
-            p99_cor,
-            viol,
-            burn,
-            missed,
-        ) in zip(grid, points)
+    columns = [
+        Column("fault", "fault"),
+        Column("sessions", "sessions"),
+        Column("n uncorr", "n_uncorrected"),
+        Column("n corr", "n_corrected"),
+        Column("p99 uncorr", "p99_uncorrected_ms", "{:.1f}"),
+        Column("p99 corr", "p99_corrected_ms", "{:.1f}"),
+        Column("viol rate", "violation_rate", "{:.2%}"),
+        Column(f"burn ({CHAOS_BUDGET_MS:.0f} ms)", "budget_burn", "{:.2f}"),
+        Column("missed", "missed_ticks"),
     ]
-    ctx.out.write(
-        format_table(
-            [
-                "fault",
-                "sessions",
-                "n uncorr",
-                "n corr",
-                "p99 uncorr",
-                "p99 corr",
-                "viol rate",
-                f"burn ({CHAOS_BUDGET_MS:.0f} ms)",
-                "missed",
-            ],
-            rows,
-            title=(
-                "Chaos x load grid: coordinated omission hides the fault "
-                "column's tail"
-            ),
-        )
-        + "\n"
+    title = (
+        "Chaos x load grid: coordinated omission hides the fault "
+        "column's tail"
     )
-    if ctx.csv_dir:
-        write_csv(
-            f"{ctx.csv_dir}/slo_chaos_grid.csv",
-            [
-                "fault",
-                "sessions",
-                "n_uncorrected",
-                "n_corrected",
-                "p99_uncorrected_ms",
-                "p99_corrected_ms",
-                "violation_rate",
-                "budget_burn",
-                "missed_ticks",
-            ],
-            [
-                (label, sessions, n_unc, n_cor, p99_unc, p99_cor, viol, burn, missed)
-                for (label, __, sessions), (
-                    n_unc,
-                    n_cor,
-                    p99_unc,
-                    p99_cor,
-                    viol,
-                    burn,
-                    missed,
-                ) in zip(grid, points)
-            ],
-        )
+    ctx.out.write(format_columns(columns, rows, title=title) + "\n")
+    # The fault spec is the label's definition, not a CSV column.
+    write_rows(ctx, "slo_chaos_grid.csv", rows, [c.field for c in columns])
 
 
 def _slo_fleet(ctx) -> None:
     """Race placement policies on p99/p99.9 and burn under a failure."""
-    points = ctx.executor.map(
+    rows = sweep(
+        ctx,
         "slo_fleet" + ctx.fault_suffix,
         partial(
             _slo_fleet_point,
@@ -495,92 +416,40 @@ def _slo_fleet(ctx) -> None:
             fault_seed=ctx.fault_seed,
         ),
         list(FLEET_POLICIES_ORDER),
-        seed=ctx.seed,
+        ("policy",),
+        SloFleetPoint,
     )
-    rows = [
-        (
-            policy,
-            f"{p99:.1f}",
-            f"{p999:.1f}",
-            f"{burn:.2f}",
-            f"{worst:.2f}",
-            migrations,
-        )
-        for policy, (p99, p999, burn, worst, migrations) in zip(
-            FLEET_POLICIES_ORDER, points
-        )
+    columns = [
+        Column("policy", "policy"),
+        Column("p99 (ms)", "p99_ms", "{:.1f}"),
+        Column("p99.9 (ms)", "p999_ms", "{:.1f}"),
+        Column(f"burn ({FLEET_BUDGET_MS:.0f} ms)", "budget_burn", "{:.2f}"),
+        Column("worst burn", "worst_window_burn", "{:.2f}"),
+        Column("migrations", "migrations"),
     ]
-    ctx.out.write(
-        format_table(
-            [
-                "policy",
-                "p99 (ms)",
-                "p99.9 (ms)",
-                f"burn ({FLEET_BUDGET_MS:.0f} ms)",
-                "worst burn",
-                "migrations",
-            ],
-            rows,
-            title=(
-                f"Placement under failure, CO-corrected: {FLEET_SESSIONS} "
-                f"sessions on {FLEET_SERVERS} servers"
-            ),
-        )
-        + "\n"
+    title = (
+        f"Placement under failure, CO-corrected: {FLEET_SESSIONS} "
+        f"sessions on {FLEET_SERVERS} servers"
     )
-    if ctx.csv_dir:
-        write_csv(
-            f"{ctx.csv_dir}/slo_fleet.csv",
-            [
-                "policy",
-                "p99_ms",
-                "p999_ms",
-                "budget_burn",
-                "worst_window_burn",
-                "migrations",
-            ],
-            [
-                (policy, p99, p999, burn, worst, migrations)
-                for policy, (p99, p999, burn, worst, migrations) in zip(
-                    FLEET_POLICIES_ORDER, points
-                )
-            ],
-        )
+    ctx.out.write(format_columns(columns, rows, title=title) + "\n")
+    write_rows(ctx, "slo_fleet.csv", rows)
 
 
-_REGISTERED = False
-
-
-def _register() -> None:
-    """Register this module's experiments; idempotent.
-
-    Driven by ``repro.cli`` at this module's canonical position in the
-    registration sequence (see ``repro.fleet.experiments._register`` for
-    why import-time decorators would make registry order depend on which
-    module a process imports first).
-    """
-    global _REGISTERED
-    if _REGISTERED:
-        return
-    _REGISTERED = True
-    experiment(
+#: This module's experiments, in ``run all`` order; ``repro.cli``
+#: registers them after the analytic group.
+SPECS = (
+    ExperimentSpec(
         "slo_burst",
-        title="Burst tails: equal-mean Poisson vs on-off load against a budget",
-        group="slo",
-    )(_slo_burst)
-    experiment(
+        "Burst tails: equal-mean Poisson vs on-off load against a budget",
+        "slo", _slo_burst,
+    ),
+    ExperimentSpec(
         "slo_chaos_grid",
-        title="Chaos x load grid: corrected vs uncorrected p99 and budget burn",
-        group="slo",
-    )(_slo_chaos_grid)
-    experiment(
-        "slo_fleet",
-        title="Placement policies raced on corrected tails and budget burn",
-        group="slo",
-    )(_slo_fleet)
-
-
-# Importing any experiments module alone must still populate the whole
-# registry in canonical order: pull in the CLI, which calls every
-# module's ``_register`` in sequence.
-from .. import cli as _cli  # noqa: E402,F401
+        "Chaos x load grid: corrected vs uncorrected p99 and budget burn",
+        "slo", _slo_chaos_grid,
+    ),
+    ExperimentSpec(
+        "slo_fleet", "Placement policies raced on corrected tails and budget burn",
+        "slo", _slo_fleet,
+    ),
+)

@@ -6,8 +6,10 @@ import os
 
 import pytest
 
+from repro import cli
 from repro.cli import EXPERIMENTS, main
 from repro.core.report import write_csv
+from repro.exec import ResultCache
 
 
 def run_cli(*argv):
@@ -194,6 +196,39 @@ class TestExecutorRouting:
         faulted = fig8("faulted", "--faults", "loss=0.05", "--fault-seed", "3")
         assert fig8("clean2") == clean
         assert faulted[1] != clean[1]
+
+    @pytest.mark.parametrize(
+        "name, sweep_name, value, seed, payload",
+        [
+            # chaos caches a 5-tuple per loss level under the run seed...
+            ("chaos", "chaos[@0]", 0.05, 1, lambda: tuple(cli._chaos_point(0.05))),
+            # ...fig7 a bare float per frame count under seed 0.
+            ("fig7", "fig7", 66, 0, lambda: cli._fig7_point(66).mbps),
+        ],
+    )
+    def test_cache_entries_stored_before_records_replay_byte_identically(
+        self, tmp_path, name, sweep_name, value, seed, payload
+    ):
+        """Before points returned records, the cache held plain tuples (bare
+        floats for one-value points) under the same keys.  A warm run that
+        replays such an entry must write the cold run's stdout and CSVs."""
+        code, cold = run_cli(
+            "run", name, "--seed", "1", "--csv", str(tmp_path / "cold")
+        )
+        assert code == 0
+        cache = str(tmp_path / "cache")
+        legacy = payload()
+        assert type(legacy) in (tuple, float)
+        ResultCache(cache).store(sweep_name, value, seed, legacy)
+        out, progress = io.StringIO(), io.StringIO()
+        argv = ["run", name, "--seed", "1", "--cache-dir", cache,
+                "--csv", str(tmp_path / "warm")]
+        assert main(argv, out=out, progress=progress) == 0
+        assert f"({value!r}) cached" in progress.getvalue()
+        assert out.getvalue() == cold
+        assert self.read_all_csvs(tmp_path / "warm") == self.read_all_csvs(
+            tmp_path / "cold"
+        )
 
     def test_bad_jobs_rejected(self):
         code, text = run_cli("run", "fig3", "--jobs", "0")
