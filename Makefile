@@ -15,7 +15,7 @@ repro-all:
 	python -m repro run all --csv results/
 
 examples:
-	for f in examples/*.py; do echo "== $$f"; python $$f; done
+	for f in examples/*.py; do echo "== $$f"; python $$f || exit 1; done
 
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache results

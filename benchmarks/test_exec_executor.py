@@ -8,7 +8,7 @@ worker count, chunking, or cache temperature.
 
 from conftest import emit, run_once
 
-from repro.core import ParameterSweep, format_series
+from repro.core import format_series
 from repro.exec import SweepExecutor
 from repro.net import run_ping_experiment
 
@@ -25,25 +25,24 @@ def mean_rtt_ms(offered_mbps):
 
 
 def test_exec_parallel_and_cached_match_serial(benchmark, tmp_path):
-    sweep = ParameterSweep("ping-rtt", "offered_mbps", mean_rtt_ms)
-    serial = sweep.execute(LOAD_LEVELS)
+    serial = SweepExecutor().map("ping-rtt", mean_rtt_ms, LOAD_LEVELS)
 
     executor = SweepExecutor(backend="process", jobs=4, cache=str(tmp_path))
     parallel = run_once(
-        benchmark, sweep.execute, LOAD_LEVELS, executor=executor, seed=0
+        benchmark, executor.map, "ping-rtt", mean_rtt_ms, LOAD_LEVELS, seed=0
     )
-    assert parallel.rows == serial.rows
+    assert parallel == serial
 
-    warm = sweep.execute(LOAD_LEVELS, executor=executor, seed=0)
-    assert warm.rows == serial.rows
+    warm = executor.map("ping-rtt", mean_rtt_ms, LOAD_LEVELS, seed=0)
+    assert warm == serial
     assert executor.cache.stats.hits == len(LOAD_LEVELS)
 
     emit(
         format_series(
             "offered Mbps",
             "mean RTT ms",
-            serial.values(),
-            serial.results(),
+            LOAD_LEVELS,
+            serial,
             title="Executor check: serial == process x4 == cached",
         )
     )

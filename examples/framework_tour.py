@@ -122,8 +122,8 @@ def main() -> None:
     ]
     rows = []
     for study in studies:
-        # ResourceStudy is a Runnable: study.run() evaluates its probe (and
-        # takes threshold_ms=... to re-assess without rebuilding the study).
+        # study.run() evaluates the study's probe (and takes
+        # threshold_ms=... to re-assess without rebuilding the study).
         result = study.run()
         a = result.assessment
         rows.append(

@@ -13,8 +13,8 @@ demonstrates both on the Figure 8 RTT sweep:
   only *changed* points recompute.
 
 The same engine backs the CLI (``python -m repro run all --jobs 8
---cache-dir .repro-cache``); here it drives a plain
-:class:`~repro.core.ParameterSweep` directly.
+--cache-dir .repro-cache``); here it maps one point function over the
+load levels with :meth:`~repro.exec.SweepExecutor.map` directly.
 
 Run:  python examples/parallel_sweeps.py
 """
@@ -22,7 +22,7 @@ Run:  python examples/parallel_sweeps.py
 import tempfile
 import time
 
-from repro.core import ParameterSweep, format_table
+from repro.core import format_table
 from repro.exec import SweepExecutor
 from repro.net import run_ping_experiment
 
@@ -42,9 +42,9 @@ def mean_rtt_ms(offered_mbps: float) -> float:
     return result.mean_rtt_ms
 
 
-def timed(label: str, executor: SweepExecutor, sweep: ParameterSweep):
+def timed(label: str, executor: SweepExecutor):
     start = time.perf_counter()
-    result = sweep.execute(LOAD_LEVELS, executor=executor, seed=0)
+    result = executor.map("ping-rtt", mean_rtt_ms, LOAD_LEVELS, seed=0)
     elapsed = time.perf_counter() - start
     backend = executor.last_backend_used
     cache = executor.cache
@@ -53,24 +53,19 @@ def timed(label: str, executor: SweepExecutor, sweep: ParameterSweep):
 
 
 def main() -> None:
-    sweep = ParameterSweep("ping-rtt", "offered_mbps", mean_rtt_ms)
     with tempfile.TemporaryDirectory() as cache_dir:
-        serial, row_serial = timed(
-            "serial, cold", SweepExecutor(backend="serial"), sweep
-        )
+        serial, row_serial = timed("serial, cold", SweepExecutor(backend="serial"))
         parallel, row_parallel = timed(
             "process x4, cold",
             SweepExecutor(backend="process", jobs=4, cache=cache_dir),
-            sweep,
         )
         cached, row_cached = timed(
             "any backend, warm cache",
             SweepExecutor(backend="process", jobs=4, cache=cache_dir),
-            sweep,
         )
 
-    assert parallel.rows == serial.rows, "parallel must reproduce serial"
-    assert cached.rows == serial.rows, "cache must reproduce the computation"
+    assert parallel == serial, "parallel must reproduce serial"
+    assert cached == serial, "cache must reproduce the computation"
 
     print(
         format_table(
@@ -83,7 +78,7 @@ def main() -> None:
     print(
         format_table(
             ["offered Mbps", "mean RTT (ms)"],
-            [(level, f"{rtt:.2f}") for level, rtt in serial.rows],
+            [(level, f"{rtt:.2f}") for level, rtt in zip(LOAD_LEVELS, serial)],
             title="The sweep itself (Figure 8's shape, shortened)",
         )
     )

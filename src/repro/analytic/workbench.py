@@ -38,14 +38,14 @@ from typing import Deque, List, Optional
 from ..errors import AnalyticError
 from ..net.link import Link
 from ..net.loadgen import PoissonLoadGenerator
-from ..net.packet import Packet
+from ..net.ping import PING_PACKET_BYTES, poisson_probes
 from ..sim.engine import Simulator
 from ..sim.rng import RngRegistry
 from ..sim.stats import mean, percentile
 from ..units import mbps_to_bytes_per_ms
 
 #: Probe packets are keystroke-sized, like the paper's ping (§6.2).
-PROBE_BYTES = 64
+PROBE_BYTES = PING_PACKET_BYTES
 
 #: Full-size load frames, matching the load generator's default.
 LOAD_FRAME_BYTES = 1500
@@ -235,26 +235,23 @@ def simulate_link_probe(
         rngs.stream("link:load"),
         packet_bytes=LOAD_FRAME_BYTES,
     )
-    probes = rngs.stream("link:probes")
     delays: List[float] = []
     seen: List[float] = []
 
-    def probe() -> None:
-        sent_at = sim.now
-        if sent_at >= warmup_ms:
-            # Waiting packets plus the one on the wire: what this arrival
-            # "sees in system", the PASTA estimate of L.
-            seen.append(link.queue_depth + (1.0 if link.busy else 0.0))
+    def arrival(sent_at: float) -> None:
+        # Waiting packets plus the one on the wire: what this arrival
+        # "sees in system", the PASTA estimate of L.
+        seen.append(link.queue_depth + (1.0 if link.busy else 0.0))
 
-            def delivered(packet: Packet) -> None:
-                delays.append(sim.now - sent_at)
-
-            link.send(Packet(PROBE_BYTES, channel="probe"), delivered)
-        else:
-            link.send(Packet(PROBE_BYTES, channel="probe"))
-        sim.schedule(probes.expovariate(1.0 / probe_interval_ms), probe)
-
-    sim.schedule(probes.expovariate(1.0 / probe_interval_ms), probe)
+    poisson_probes(
+        sim,
+        link,
+        rngs.stream("link:probes"),
+        probe_interval_ms,
+        warmup_ms,
+        lambda sent_at, delay: delays.append(delay),
+        on_send=arrival,
+    )
     sim.run_until(duration_ms)
     load.stop()
     if not delays:

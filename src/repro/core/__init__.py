@@ -10,14 +10,12 @@ from .capacity import (
     plan_mixed_fleet_capacity,
 )
 from .client import ThinClient
-from .experiment import ParameterSweep, SweepResult
 from .framework import (
     LoadKind,
     LoadProfile,
     LoadSource,
     Resource,
     ResourceStudy,
-    Runnable,
     StudyResult,
     compare,
     evaluate,
@@ -45,13 +43,10 @@ __all__ = [
     "LoadProfile",
     "LoadSource",
     "PERCEPTION_THRESHOLD_MS",
-    "ParameterSweep",
     "Resource",
     "ResourceStudy",
-    "Runnable",
     "ServerConfig",
     "StudyResult",
-    "SweepResult",
     "ThinClient",
     "ThinClientServer",
     "UserSession",

@@ -20,37 +20,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    runtime_checkable,
-)
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..errors import ExperimentError
 from .latency import PERCEPTION_THRESHOLD_MS, LatencyAssessment, assess
-
-
-@runtime_checkable
-class Runnable(Protocol):
-    """Anything an executor can run: a name plus a ``run`` entry point.
-
-    This is the unification of the package's two experiment shapes:
-    :class:`ResourceStudy` (whose ``run`` evaluates the study's probe into
-    a :class:`StudyResult`) and :class:`repro.core.ParameterSweep` (whose
-    ``run`` computes one point of a sweep).  Schedulers, CLIs and executors
-    that accept a ``Runnable`` work with either without caring which.
-    """
-
-    name: str
-
-    def run(self, *args: Any, **kwargs: Any) -> Any:
-        """Perform the unit of work this runnable names."""
-        ...
 
 
 class Resource(enum.Enum):
@@ -133,7 +106,7 @@ class ResourceStudy:
     threshold_ms: float = PERCEPTION_THRESHOLD_MS
 
     def run(self, *, threshold_ms: Optional[float] = None) -> "StudyResult":
-        """Evaluate this study (the :class:`Runnable` entry point).
+        """Evaluate this study.
 
         ``study.run()`` is :func:`evaluate(study) <evaluate>`; pass
         *threshold_ms* to re-assess against a different perception

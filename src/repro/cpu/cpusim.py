@@ -127,7 +127,7 @@ class CPU:
 
     @property
     def load(self) -> int:
-        """Runnable threads including the one on the CPU."""
+        """Threads ready to run, plus the one on the CPU."""
         return self.run_queue_length + (1 if self.current is not None else 0)
 
     def utilization(self, t0: float, t1: float) -> float:

@@ -126,13 +126,6 @@ class PriorityReadyQueues:
                 return queue.popleft()
         return None
 
-    def best_priority(self) -> Optional[int]:
-        """Highest priority with a waiting thread, or None if all empty."""
-        for priority in range(self.levels - 1, -1, -1):
-            if self._queues[priority]:
-                return priority
-        return None
-
     def remove(self, thread: Thread) -> bool:
         """Remove *thread* wherever it is queued.  True if found."""
         for queue in self._queues:

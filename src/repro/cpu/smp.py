@@ -114,7 +114,7 @@ class SMPSystem:
 
     @property
     def load(self) -> int:
-        """Runnable threads across the whole system."""
+        """Ready or running threads across the whole system."""
         return sum(cpu.load for cpu in self.cpus)
 
     @property

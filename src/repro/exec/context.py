@@ -15,9 +15,9 @@ to write artifacts and render the metrics summary.
 
 Fault injection rides it too: ``faults`` holds the canonical ``--faults``
 spec string (kept as a string so it pickles to workers and keys cache
-entries) plus its ``fault_seed``; :meth:`RunContext.fault_plan` parses it
-on demand and :attr:`RunContext.fault_suffix` tags sweep names so faulted
-and clean sweeps never replay each other's cached points.
+entries) plus its ``fault_seed``; :attr:`RunContext.fault_suffix` tags
+sweep names so faulted and clean sweeps never replay each other's cached
+points.
 """
 
 from __future__ import annotations
@@ -69,19 +69,6 @@ class RunContext:
         return self.observe or self.trace_dir is not None
 
     # -- fault injection --------------------------------------------------
-
-    def fault_plan(self):
-        """The parsed :class:`~repro.net.faults.FaultPlan`, or ``None``.
-
-        ``None`` means a clean wire; experiments then build plain links and
-        their output is byte-identical to a pre-fault-layer run.
-        """
-        if not self.faults:
-            return None
-        from ..net.faults import FaultPlan
-
-        plan = FaultPlan.parse(self.faults, seed=self.fault_seed)
-        return plan if plan.enabled else None
 
     @property
     def fault_suffix(self) -> str:

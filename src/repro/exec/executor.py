@@ -1,8 +1,8 @@
 """The sweep executor: cache, fan out, merge deterministically.
 
 :class:`SweepExecutor` is the one engine behind every parameter sweep in the
-package — the CLI, :class:`repro.core.ParameterSweep`, benches and examples
-all funnel through :meth:`SweepExecutor.map`.  Its contract:
+package: every registered experiment (through ``repro.core.report.sweep``),
+the benches and the examples call :meth:`SweepExecutor.map`.  Its contract:
 
 * **Determinism.**  Results are keyed by parameter *index* and merged in
   index order, never completion order, so ``--jobs 8`` reproduces the
@@ -179,20 +179,6 @@ class SweepExecutor:
             self.observe_sink(name, [snapshot for __, snapshot in merged])
             merged = [result for result, __ in merged]
         return merged
-
-    def run_sweep(self, sweep, values: Sequence[Any], *, seed: int = 0):
-        """Execute a :class:`~repro.core.ParameterSweep` through this engine.
-
-        Equivalent to ``sweep.execute(values)`` but cached/parallel; the
-        returned :class:`~repro.core.SweepResult` rows are identical.
-        """
-        from ..core.experiment import SweepResult
-
-        results = self.map(sweep.name, sweep.run, values, seed=seed)
-        table: SweepResult = SweepResult(sweep.name, sweep.parameter)
-        for value, result in zip(values, results):
-            table.append(value, result)
-        return table
 
     # -- backend resolution ---------------------------------------------
 

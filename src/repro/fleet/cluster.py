@@ -672,6 +672,21 @@ class Fleet:
         """Advance the whole fleet on the shared clock."""
         self.sim.run(duration_ms)
 
+    def measure(self, warmup_ms: float, measure_ms: float, tracker=None) -> None:
+        """Warm up, discard warmup samples, then run the measurement window.
+
+        Clears both latency series of every session after *warmup_ms* and
+        installs *tracker* as :attr:`slo_tracker` only for the following
+        *measure_ms*, so setup traffic never lands in a sample or burns
+        budget.
+        """
+        self.run(warmup_ms)
+        for session in self.sessions.values():
+            session.latencies_ms.clear()
+            session.intended_latencies_ms.clear()
+        self.slo_tracker = tracker
+        self.run(measure_ms)
+
     @property
     def session_count(self) -> int:
         """Users currently logged in fleet-wide."""

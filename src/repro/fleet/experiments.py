@@ -24,7 +24,7 @@ and warm-cache runs.
 from __future__ import annotations
 
 from functools import partial
-from typing import List, NamedTuple, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from ..core.registry import ExperimentSpec
 from ..core.report import Column, format_columns, format_series, sweep, write_rows
@@ -74,15 +74,23 @@ WARMUP_MS = 1_500.0
 MEASURE_MS = 4_000.0
 
 
-def _drive_fleet(fleet, sessions: int) -> List[float]:
+def _drive_fleet(
+    fleet,
+    sessions: int,
+    *,
+    rates: Sequence[float] = (1.0, 2.0, 4.0),
+    measure_ms: float = MEASURE_MS,
+    tracker=None,
+) -> List[float]:
     """Open *sessions* users, warm the fleet up, and measure latencies.
 
-    Typing rates and display sizes cycle deterministically so the offered
-    load is heterogeneous (policies have something to balance).  The
-    warmup window lets session-setup traffic drain off the per-server
-    LANs before measurement starts; warmup latencies are discarded.
+    Typing rates (cycling through *rates*) and display sizes cycle
+    deterministically so the offered load is heterogeneous (policies have
+    something to balance).  :meth:`~repro.fleet.cluster.Fleet.measure`
+    lets session-setup traffic drain off the per-server LANs before the
+    *measure_ms* window starts, discards warmup latencies, and feeds
+    *tracker* (if any) only from the window.
     """
-    rates = [1.0, 2.0, 4.0]
     chars = [4, 8, 16]
     for i in range(sessions):
         fleet.open_session(
@@ -90,10 +98,7 @@ def _drive_fleet(fleet, sessions: int) -> List[float]:
             rate_hz=rates[i % len(rates)],
             display_chars=chars[i % len(chars)],
         )
-    fleet.run(WARMUP_MS)
-    for session in fleet.sessions.values():
-        session.latencies_ms.clear()
-    fleet.run(MEASURE_MS)
+    fleet.measure(WARMUP_MS, measure_ms, tracker)
     return fleet.latencies_ms()
 
 

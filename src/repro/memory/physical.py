@@ -31,11 +31,6 @@ class Frame:
         self.pinned = False
         self.free = False  #: tracks free-list membership in O(1)
 
-    @property
-    def in_use(self) -> bool:
-        """True when owned by a process or pinned by the OS."""
-        return self.owner is not None or self.pinned
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Frame {self.index} owner={self.owner!r} vpn={self.vpn}>"
 

@@ -33,11 +33,6 @@ class ProcessMemory:
     name: str
     private_kb: int
 
-    @property
-    def private_bytes(self) -> int:
-        """Private consumption in bytes."""
-        return self.private_kb * KB
-
 
 @dataclass(frozen=True)
 class SessionProfile:

@@ -9,12 +9,16 @@ A :class:`Pinger` sends a 64-byte probe each second; the echo transits the
 same shared link (both directions contend on the medium), so the RTT is
 two queueing+transmission delays plus two propagations — exactly the
 quantity whose knee and jitter the figures show.
+
+:func:`poisson_probes` is the same 64-byte probe as an open-loop Poisson
+stream: the one probe path the SLO, analytic and scale measurements share.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from ..sim.engine import Simulator
 from ..sim.rng import RngRegistry
@@ -74,6 +78,67 @@ class Pinger:
     def stop(self) -> None:
         """Stop probing."""
         self._task.stop()
+
+
+def poisson_probes(
+    sim: Simulator,
+    link: Link,
+    rng: random.Random,
+    interval_ms: float,
+    warmup_ms: float,
+    on_sample: Callable[[float, float], None],
+    *,
+    echo: bool = False,
+    on_send: Optional[Callable[[float], None]] = None,
+) -> None:
+    """Start an open-loop Poisson stream of 64-byte probes over *link*.
+
+    Probes arrive *interval_ms* apart on average (one ``expovariate``
+    draw from *rng* per probe) and never wait for answers, so a saturated
+    wire cannot suppress its own bad samples.  A probe sent at or after
+    *warmup_ms* first calls ``on_send(sent_at)`` — where callers sample
+    what the arrival sees — and then, on delivery, ``on_sample(sent_at,
+    delay_ms)``.  With *echo* the delivered request sends a ``probe_echo``
+    reply back over the same wire and the sample is the round trip.
+    Warmup probes ride the wire (and echo) unsampled, so the probe load is
+    the same before and after sampling begins.
+    """
+    rate = 1.0 / interval_ms
+
+    def warm_echo(packet: Packet) -> None:
+        link.send(Packet(PING_PACKET_BYTES, channel="probe_echo"))
+
+    def probe() -> None:
+        sent_at = sim.now
+        if sent_at < warmup_ms:
+            link.send(
+                Packet(PING_PACKET_BYTES, channel="probe"),
+                warm_echo if echo else None,
+            )
+        else:
+            if on_send is not None:
+                on_send(sent_at)
+
+            def delivered(packet: Packet) -> None:
+                on_sample(sent_at, sim.now - sent_at)
+
+            if echo:
+
+                def request_delivered(packet: Packet) -> None:
+                    link.send(
+                        Packet(PING_PACKET_BYTES, channel="probe_echo"),
+                        delivered,
+                    )
+
+                link.send(
+                    Packet(PING_PACKET_BYTES, channel="probe"),
+                    request_delivered,
+                )
+            else:
+                link.send(Packet(PING_PACKET_BYTES, channel="probe"), delivered)
+        sim.schedule(rng.expovariate(rate), probe)
+
+    sim.schedule(rng.expovariate(rate), probe)
 
 
 @dataclass

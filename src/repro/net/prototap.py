@@ -128,11 +128,6 @@ class ProtoTap:
         for message in connection.messages:
             self.observe(message)
 
-    def observe_all(self, messages: Iterable) -> None:
-        """Record each message as its own flush group."""
-        for message in messages:
-            self.observe(message)
-
     # -- reduction -----------------------------------------------------------
 
     @property

@@ -32,7 +32,6 @@ from .metrics import (
 )
 from .serialize import (
     RunObservations,
-    dumps_event,
     dumps_snapshot,
     merge_counters,
     metrics_document,
@@ -43,7 +42,6 @@ from .serialize import (
 from .tracer import (
     DEFAULT_MAX_EVENTS,
     CompactSnapshot,
-    NullTracer,
     Observation,
     Tracer,
     current_observation,
@@ -58,14 +56,12 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullTracer",
     "ObservabilityError",
     "Observation",
     "RunObservations",
     "Tracer",
     "bucket_quantile",
     "current_observation",
-    "dumps_event",
     "dumps_snapshot",
     "merge_counters",
     "metrics_document",

@@ -93,11 +93,6 @@ def _encode_value(v: Any) -> str:
     return _dumps(v)
 
 
-def dumps_event(event: dict) -> str:
-    """One trace event as a compact, key-sorted JSON line (no newline)."""
-    return _dumps(event)
-
-
 def dumps_snapshot(snapshot: Union[dict, CompactSnapshot]) -> str:
     """A whole observation snapshot as canonical, diff-friendly JSON.
 

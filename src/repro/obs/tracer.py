@@ -291,29 +291,6 @@ class Tracer:
         return self._count
 
 
-class NullTracer(Tracer):
-    """A tracer that records nothing — explicit-injection no-op.
-
-    Components that take a tracer argument can default to this instead of
-    branching on ``None``; it satisfies the :class:`Tracer` interface at a
-    single discarded method call per event.
-    """
-
-    __slots__ = ()
-
-    def __init__(self) -> None:
-        super().__init__(max_events=0)
-
-    def emit(self, t: float, kind: str, **fields: Any) -> None:
-        pass
-
-    def channel(self, kind: str, *names: str) -> Callable[..., None]:
-        def append(t: float, *values: Any) -> None:
-            pass
-
-        return append
-
-
 class Observation:
     """One run's worth of trace events and metrics, as a unit."""
 

@@ -296,15 +296,10 @@ def _run_probe_fleet(seed: int, label: str, spec):
                 display_chars=8,
                 pin_server=index,
             )
-    fleet.run(FLEET_WARMUP_MS)
-    for session in fleet.sessions.values():
-        session.latencies_ms.clear()
-        session.intended_latencies_ms.clear()
     tracker = SloTracker(
         LatencyBudget("interaction", FLEET_BUDGET_MS, target=FLEET_SLO_TARGET)
     )
-    fleet.slo_tracker = tracker
-    fleet.run(FLEET_MEASURE_MS)
+    fleet.measure(FLEET_WARMUP_MS, FLEET_MEASURE_MS, tracker)
     corrected = fleet.corrected_latencies_ms()
     report = fleet.report(t0=FLEET_WARMUP_MS)
     lan_util = fleet.backgrounds[0].utilization(FLEET_WARMUP_MS, horizon)

@@ -27,11 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from ..analytic.workbench import (
-    LOAD_FRAME_BYTES,
-    PROBE_BYTES,
-    LinkProbeObservation,
-)
+from ..analytic.workbench import LOAD_FRAME_BYTES, LinkProbeObservation
 from ..errors import NetworkError
 from ..net.link import Link
 from ..net.loadgen import (
@@ -41,6 +37,7 @@ from ..net.loadgen import (
     PoissonLoadGenerator,
 )
 from ..net.packet import Packet
+from ..net.ping import poisson_probes
 from ..sim.engine import Simulator
 from ..sim.rng import RngRegistry, derive_seed
 from ..sim.stats import mean, percentile
@@ -56,6 +53,64 @@ PROBE_BUDGET_MS = 10.0
 
 #: SLO target shared with the slo experiments.
 PROBE_SLO_TARGET = 0.99
+
+
+def _check_probe_window(
+    probe_interval_ms: float, duration_ms: float, warmup_ms: float
+) -> None:
+    if probe_interval_ms <= 0:
+        raise NetworkError("probe interval must be positive")
+    if duration_ms <= warmup_ms:
+        raise NetworkError("duration must exceed the warmup window")
+
+
+def _probe_rtts(
+    sim: Simulator,
+    link: Link,
+    rngs: RngRegistry,
+    probe_interval_ms: float,
+    warmup_ms: float,
+    budget_ms: float,
+):
+    """Start the exact ping stream; returns its RTT list and SLO tracker."""
+    from ..slo.budget import LatencyBudget, SloTracker
+
+    rtts: List[float] = []
+    tracker = SloTracker(
+        LatencyBudget("probe_rtt", budget_ms, target=PROBE_SLO_TARGET)
+    )
+
+    def sample(sent_at: float, rtt: float) -> None:
+        rtts.append(rtt)
+        tracker.observe(sent_at, rtt)
+
+    poisson_probes(
+        sim,
+        link,
+        rngs.stream("scale:probes"),
+        probe_interval_ms,
+        warmup_ms,
+        sample,
+        echo=True,
+    )
+    return rtts, tracker
+
+
+def _rtt_summary(kind: str, rtts: List[float], tracker) -> dict:
+    """The RTT columns both curve points report, as constructor fields."""
+    if not rtts:
+        raise NetworkError(f"{kind} point produced no probe samples")
+    report = tracker.report()
+    return dict(
+        samples=len(rtts),
+        rtt_mean_ms=mean(rtts),
+        rtt_p50_ms=percentile(rtts, 50.0),
+        rtt_p90_ms=percentile(rtts, 90.0),
+        rtt_p99_ms=percentile(rtts, 99.0),
+        rtt_p999_ms=percentile(rtts, 99.9),
+        violation_rate=report.violation_rate,
+        budget_burn=report.budget_burn,
+    )
 
 
 @dataclass(frozen=True)
@@ -114,10 +169,7 @@ def run_load_curve_point(
     """
     if mode not in MODES:
         raise NetworkError(f"unknown load-curve mode {mode!r}")
-    if probe_interval_ms <= 0:
-        raise NetworkError("probe interval must be positive")
-    if duration_ms <= warmup_ms:
-        raise NetworkError("duration must exceed the warmup window")
+    _check_probe_window(probe_interval_ms, duration_ms, warmup_ms)
     spec = PopulationSpec(
         users=users,
         per_user_bps=per_user_bps,
@@ -127,8 +179,6 @@ def run_load_curve_point(
         on_fraction=on_fraction,
         cycle_ms=cycle_ms,
     )
-    from ..slo.budget import LatencyBudget, SloTracker
-
     rngs = RngRegistry(seed)
     sim = Simulator()
     link = Link(sim, bandwidth_mbps=bandwidth_mbps)
@@ -164,43 +214,13 @@ def run_load_curve_point(
                         cycle_ms=cycle_ms,
                     )
                 )
-    tracker = SloTracker(
-        LatencyBudget("probe_rtt", budget_ms, target=PROBE_SLO_TARGET)
+    rtts, tracker = _probe_rtts(
+        sim, link, rngs, probe_interval_ms, warmup_ms, budget_ms
     )
-    probes = rngs.stream("scale:probes")
-    rtts: List[float] = []
-
-    def probe() -> None:
-        sent_at = sim.now
-        if sent_at >= warmup_ms:
-
-            def request_delivered(packet: Packet) -> None:
-                link.send(
-                    Packet(PROBE_BYTES, channel="probe_echo"), echo_delivered
-                )
-
-            def echo_delivered(packet: Packet) -> None:
-                rtt = sim.now - sent_at
-                rtts.append(rtt)
-                tracker.observe(sent_at, rtt)
-
-            link.send(Packet(PROBE_BYTES, channel="probe"), request_delivered)
-        else:
-            # Warmup probes still echo, so the wire carries the same
-            # probe load before and after sampling begins.
-            link.send(
-                Packet(PROBE_BYTES, channel="probe"),
-                lambda __: link.send(Packet(PROBE_BYTES, channel="probe_echo")),
-            )
-        sim.schedule(probes.expovariate(1.0 / probe_interval_ms), probe)
-
-    sim.schedule(probes.expovariate(1.0 / probe_interval_ms), probe)
     sim.run_until(duration_ms)
     for generator in generators:
         generator.stop()
-    if not rtts:
-        raise NetworkError("load-curve point produced no probe samples")
-    report = tracker.report()
+    summary = _rtt_summary("load-curve", rtts, tracker)
     utilization = link.utilization(warmup_ms, duration_ms)
     if background is not None:
         utilization += background.utilization(warmup_ms, duration_ms)
@@ -210,15 +230,8 @@ def run_load_curve_point(
         mode=mode,
         offered_mbps=spec.offered_mbps,
         utilization=utilization,
-        samples=len(rtts),
-        rtt_mean_ms=mean(rtts),
-        rtt_p50_ms=percentile(rtts, 50.0),
-        rtt_p90_ms=percentile(rtts, 90.0),
-        rtt_p99_ms=percentile(rtts, 99.0),
-        rtt_p999_ms=percentile(rtts, 99.9),
-        violation_rate=report.violation_rate,
-        budget_burn=report.budget_burn,
         duration_ms=duration_ms - warmup_ms,
+        **summary,
     )
 
 
@@ -289,10 +302,7 @@ def run_closed_curve_point(
     """
     if mode not in MODES:
         raise NetworkError(f"unknown closed-curve mode {mode!r}")
-    if probe_interval_ms <= 0:
-        raise NetworkError("probe interval must be positive")
-    if duration_ms <= warmup_ms:
-        raise NetworkError("duration must exceed the warmup window")
+    _check_probe_window(probe_interval_ms, duration_ms, warmup_ms)
     spec = ClosedLoopSpec(
         users=users,
         think_ms=think_ms,
@@ -302,8 +312,6 @@ def run_closed_curve_point(
         keystroke_bytes=keystroke_bytes,
         echo_bytes=echo_bytes,
     )
-    from ..slo.budget import LatencyBudget, SloTracker
-
     rngs = RngRegistry(seed)
     sim = Simulator()
     link = Link(sim, bandwidth_mbps=bandwidth_mbps)
@@ -367,38 +375,11 @@ def run_closed_curve_point(
 
         for index in range(users):
             launch_session(index)
-    tracker = SloTracker(
-        LatencyBudget("probe_rtt", budget_ms, target=PROBE_SLO_TARGET)
+    rtts, tracker = _probe_rtts(
+        sim, link, rngs, probe_interval_ms, warmup_ms, budget_ms
     )
-    probes = rngs.stream("scale:probes")
-    rtts: List[float] = []
-
-    def probe() -> None:
-        sent_at = sim.now
-        if sent_at >= warmup_ms:
-
-            def request_delivered(packet: Packet) -> None:
-                link.send(
-                    Packet(PROBE_BYTES, channel="probe_echo"), echo_delivered
-                )
-
-            def echo_delivered(packet: Packet) -> None:
-                rtt = sim.now - sent_at
-                rtts.append(rtt)
-                tracker.observe(sent_at, rtt)
-
-            link.send(Packet(PROBE_BYTES, channel="probe"), request_delivered)
-        else:
-            link.send(
-                Packet(PROBE_BYTES, channel="probe"),
-                lambda __: link.send(Packet(PROBE_BYTES, channel="probe_echo")),
-            )
-        sim.schedule(probes.expovariate(1.0 / probe_interval_ms), probe)
-
-    sim.schedule(probes.expovariate(1.0 / probe_interval_ms), probe)
     sim.run_until(duration_ms)
-    if not rtts:
-        raise NetworkError("closed-curve point produced no probe samples")
+    summary = _rtt_summary("closed-curve", rtts, tracker)
     measure_ms = duration_ms - warmup_ms
     if mode == "hybrid":
         sampler = background.sampler
@@ -430,19 +411,10 @@ def run_closed_curve_point(
         users / (think_per_round + demand_ms), 1.0 / demand_ms
     )
     mva_response = max(demand_ms, users * demand_ms - think_per_round)
-    report = tracker.report()
     return ClosedCurveObservation(
         users=users,
         mode=mode,
         utilization=utilization,
-        samples=len(rtts),
-        rtt_mean_ms=mean(rtts),
-        rtt_p50_ms=percentile(rtts, 50.0),
-        rtt_p90_ms=percentile(rtts, 90.0),
-        rtt_p99_ms=percentile(rtts, 99.0),
-        rtt_p999_ms=percentile(rtts, 99.9),
-        violation_rate=report.violation_rate,
-        budget_burn=report.budget_burn,
         keystrokes=keys,
         completions=done,
         throughput_per_ms=throughput,
@@ -452,6 +424,7 @@ def run_closed_curve_point(
         mva_throughput_per_ms=mva_throughput,
         mva_response_ms=mva_response,
         duration_ms=measure_ms,
+        **summary,
     )
 
 
@@ -481,8 +454,7 @@ def simulate_hybrid_link_probe(
         raise NetworkError("offered utilization must be in (0, 1)")
     if users < 1:
         raise NetworkError("a population needs at least one user")
-    if duration_ms <= warmup_ms:
-        raise NetworkError("duration must exceed the warmup window")
+    _check_probe_window(probe_interval_ms, duration_ms, warmup_ms)
     rngs = RngRegistry(seed)
     sim = Simulator()
     link = Link(sim, bandwidth_mbps=bandwidth_mbps)
@@ -500,24 +472,19 @@ def simulate_hybrid_link_probe(
 
     fluid = FluidBackground(link, tick_ms, sampler.tick_bytes(n_ticks))
     frame_service_ms = LOAD_FRAME_BYTES / capacity
-    probes = rngs.stream("scale:oracle:probes")
     delays: List[float] = []
     seen: List[float] = []
-
-    def probe() -> None:
-        sent_at = sim.now
-        if sent_at >= warmup_ms:
-            seen.append(fluid.queueing_delay_ms(sent_at) / frame_service_ms)
-
-            def delivered(packet: Packet) -> None:
-                delays.append(sim.now - sent_at)
-
-            link.send(Packet(PROBE_BYTES, channel="probe"), delivered)
-        else:
-            link.send(Packet(PROBE_BYTES, channel="probe"))
-        sim.schedule(probes.expovariate(1.0 / probe_interval_ms), probe)
-
-    sim.schedule(probes.expovariate(1.0 / probe_interval_ms), probe)
+    poisson_probes(
+        sim,
+        link,
+        rngs.stream("scale:oracle:probes"),
+        probe_interval_ms,
+        warmup_ms,
+        lambda sent_at, delay: delays.append(delay),
+        on_send=lambda sent_at: seen.append(
+            fluid.queueing_delay_ms(sent_at) / frame_service_ms
+        ),
+    )
     sim.run_until(duration_ms)
     if not delays:
         raise NetworkError("hybrid link point produced no probe samples")

@@ -36,7 +36,7 @@ from typing import NamedTuple, Tuple
 
 from ..core.registry import ExperimentSpec
 from ..core.report import Column, format_columns, format_series, sweep, write_rows
-from ..fleet.experiments import PLACEMENT_POLICIES_ORDER
+from ..fleet.experiments import PLACEMENT_POLICIES_ORDER, WARMUP_MS, _drive_fleet
 from ..sim.stats import nearest_rank_percentile
 
 #: ``slo_burst`` probe budget: the paper's 10 ms computing threshold.
@@ -92,9 +92,8 @@ FLEET_BACKBONE_MBPS = 1.0
 #: stalls and post-failure crowding violate it — which is the point.
 FLEET_BUDGET_MS = 30.0
 
-#: Warmup (setup traffic drains, samples discarded) and measure windows.
-WARMUP_MS = 1_500.0
-MEASURE_MS = 4_000.0
+#: ``slo_fleet``'s measure window (warmup and the chaos grid's window are
+#: the fleet experiments' ``WARMUP_MS`` / ``MEASURE_MS``).
 FLEET_MEASURE_MS = 10_000.0
 
 
@@ -137,7 +136,7 @@ def _slo_burst_point(
     """
     from ..net.faults import FaultPlan, make_link
     from ..net.loadgen import OnOffLoadGenerator, PoissonLoadGenerator
-    from ..net.packet import Packet
+    from ..net.ping import poisson_probes
     from ..sim.engine import Simulator
     from ..sim.rng import RngRegistry, derive_seed
     from .budget import LatencyBudget, SloTracker
@@ -165,21 +164,14 @@ def _slo_burst_point(
     tracker = SloTracker(
         LatencyBudget("probe", BURST_BUDGET_MS, target=SLO_TARGET)
     )
-    probes = rngs.stream("slo:probes")
-
-    def probe() -> None:
-        sent_at = sim.now
-        if sent_at >= BURST_WARMUP_MS:
-
-            def delivered(packet) -> None:
-                tracker.observe(sent_at, sim.now - sent_at)
-
-            link.send(Packet(64, channel="probe"), delivered)
-        else:
-            link.send(Packet(64, channel="probe"))
-        sim.schedule(probes.expovariate(1.0 / BURST_PROBE_INTERVAL_MS), probe)
-
-    sim.schedule(probes.expovariate(1.0 / BURST_PROBE_INTERVAL_MS), probe)
+    poisson_probes(
+        sim,
+        link,
+        rngs.stream("slo:probes"),
+        BURST_PROBE_INTERVAL_MS,
+        BURST_WARMUP_MS,
+        tracker.observe,
+    )
     sim.run_until(BURST_DURATION_MS)
     load.stop()
     report = tracker.report()
@@ -194,42 +186,6 @@ def _slo_burst_point(
     )
 
 
-def _drive_co_fleet(
-    fleet,
-    sessions: int,
-    measure_ms: float,
-    rates=None,
-    budget_ms: float = CHAOS_BUDGET_MS,
-):
-    """Open co-safe sessions, warm up, attach a tracker, and measure.
-
-    Mirrors the fleet experiments' driver (same rate/char cycling) but
-    resets *both* latency series after warmup and only attaches the SLO
-    tracker for the measurement window, so warmup traffic never burns
-    budget.  Returns the installed :class:`~repro.slo.SloTracker`.
-    """
-    from .budget import LatencyBudget, SloTracker
-
-    rates = [1.0, 2.0, 4.0] if rates is None else rates
-    chars = [4, 8, 16]
-    for i in range(sessions):
-        fleet.open_session(
-            f"u{i:03d}",
-            rate_hz=rates[i % len(rates)],
-            display_chars=chars[i % len(chars)],
-        )
-    fleet.run(WARMUP_MS)
-    for session in fleet.sessions.values():
-        session.latencies_ms.clear()
-        session.intended_latencies_ms.clear()
-    tracker = SloTracker(
-        LatencyBudget("interaction", budget_ms, target=SLO_TARGET)
-    )
-    fleet.slo_tracker = tracker
-    fleet.run(measure_ms)
-    return tracker
-
-
 def _slo_chaos_point(
     cell: Tuple[str, str, int], *, seed: int, fault_seed: int = 0
 ) -> ChaosGridPoint:
@@ -238,6 +194,7 @@ def _slo_chaos_point(
     from ..net.faults import FaultPlan
     from ..sim.rng import derive_seed
     from ..fleet.cluster import Fleet, FleetConfig
+    from .budget import LatencyBudget, SloTracker
 
     label, spec, sessions = cell
     plan = (
@@ -258,7 +215,10 @@ def _slo_chaos_point(
     fleet = Fleet(
         config, seed=derive_seed(seed, f"slo_chaos:{label}:{sessions}")
     )
-    tracker = _drive_co_fleet(fleet, sessions, MEASURE_MS)
+    tracker = SloTracker(
+        LatencyBudget("interaction", CHAOS_BUDGET_MS, target=SLO_TARGET)
+    )
+    _drive_fleet(fleet, sessions, tracker=tracker)
     uncorrected = fleet.latencies_ms()
     corrected = fleet.corrected_latencies_ms()
     return ChaosGridPoint(
@@ -281,6 +241,7 @@ def _slo_fleet_point(
     from ..sim.rng import derive_seed
     from ..fleet.cluster import Fleet, FleetConfig
     from ..fleet.experiments import PLACEMENT_HOGS, _install_hogs
+    from .budget import LatencyBudget, SloTracker
 
     plan = FaultPlan.parse(faults, seed=fault_seed) if faults else None
     config = FleetConfig(
@@ -304,12 +265,15 @@ def _slo_fleet_point(
     )
     # Faster typists than the chaos grid: the added closed-loop pressure
     # is what separates the policies' tails after the failure.
-    tracker = _drive_co_fleet(
+    tracker = SloTracker(
+        LatencyBudget("interaction", FLEET_BUDGET_MS, target=SLO_TARGET)
+    )
+    _drive_fleet(
         fleet,
         FLEET_SESSIONS,
-        FLEET_MEASURE_MS,
-        rates=[2.0, 4.0, 8.0],
-        budget_ms=FLEET_BUDGET_MS,
+        rates=(2.0, 4.0, 8.0),
+        measure_ms=FLEET_MEASURE_MS,
+        tracker=tracker,
     )
     corrected = sorted(fleet.corrected_latencies_ms())
     return SloFleetPoint(

@@ -54,7 +54,3 @@ class SinkFleet:
             self.grow(count - len(self.sinks))
         else:
             self.shrink(len(self.sinks) - count)
-
-    def stop_all(self) -> None:
-        """Kill every sink in the fleet."""
-        self.shrink(len(self.sinks))

@@ -91,6 +91,12 @@ class TestHybridLinkOracle:
                 0.3, duration_ms=100.0, warmup_ms=200.0
             )
 
+    def test_no_probe_samples_rejected(self):
+        with pytest.raises(NetworkError, match="produced no probe samples"):
+            simulate_hybrid_link_probe(
+                0.3, users=10, probe_interval_ms=1e9, duration_ms=2_000.0
+            )
+
 
 #: The machine-repairman network the MVA recursion solves exactly:
 #: think 190 ms + type 10 ms = a 200 ms delay center, one shared echo

@@ -60,6 +60,12 @@ class TestWorkbenchValidation:
         with pytest.raises(AnalyticError):
             simulate_link_probe(0.5, probe_interval_ms=0.0)
 
+    def test_link_probe_without_samples_rejected(self):
+        with pytest.raises(AnalyticError, match="produced no probe samples"):
+            simulate_link_probe(
+                0.5, probe_interval_ms=1e9, duration_ms=2_000.0
+            )
+
     def test_closed_loop_rejects_bad_parameters(self):
         with pytest.raises(AnalyticError):
             simulate_closed_loop(0)

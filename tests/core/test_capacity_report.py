@@ -1,8 +1,8 @@
-"""Tests for capacity planning, sweeps, and report formatting."""
+"""Tests for capacity planning and report formatting."""
 
 import pytest
 
-from repro.core import CapacityReport, ParameterSweep, plan_capacity
+from repro.core import CapacityReport, plan_capacity
 from repro.core.report import format_series, format_table, sparkline
 from repro.errors import ExperimentError
 from repro.units import mb
@@ -54,74 +54,6 @@ class TestCapacity:
         report = CapacityReport("os", "p", 10, 5, 7)
         assert report.max_users == 5
         assert report.limiting_resource == "memory"
-
-
-class TestParameterSweep:
-    def test_sweep_collects_rows(self):
-        sweep = ParameterSweep("squares", "n", lambda n: n * n)
-        result = sweep.execute([1, 2, 3])
-        assert result.values() == [1, 2, 3]
-        assert result.results() == [1, 4, 9]
-        assert result.result_for(2) == 4
-
-    def test_series_extraction(self):
-        sweep = ParameterSweep("s", "n", lambda n: {"metric": n + 0.5})
-        result = sweep.execute([1, 2])
-        xs, ys = result.series(lambda r: r["metric"])
-        assert xs == [1, 2]
-        assert ys == [1.5, 2.5]
-
-    def test_missing_row_rejected(self):
-        result = ParameterSweep("s", "n", lambda n: n).execute([1])
-        with pytest.raises(ExperimentError):
-            result.result_for(9)
-
-    def test_missing_row_message_unchanged(self):
-        """Regression: the dict-indexed lookup raises the same message the
-        old linear scan did."""
-        result = ParameterSweep("s", "n", lambda n: n).execute([1])
-        with pytest.raises(
-            ExperimentError, match=r"sweep 's' has no row for n=9"
-        ):
-            result.result_for(9)
-
-    def test_empty_values_rejected(self):
-        with pytest.raises(ExperimentError):
-            ParameterSweep("s", "n", lambda n: n).execute([])
-
-    def test_result_for_sees_rows_appended_directly(self):
-        """Regression: code that mutates ``rows`` behind the index's back
-        (the pre-index idiom) still gets correct lookups."""
-        from repro.core import SweepResult
-
-        result = SweepResult("s", "n")
-        result.rows.append((1, "a"))
-        assert result.result_for(1) == "a"
-        result.rows.append((2, "b"))
-        assert result.result_for(2) == "b"
-        with pytest.raises(ExperimentError, match="no row for n=3"):
-            result.result_for(3)
-
-    def test_result_for_duplicate_values_returns_first(self):
-        from repro.core import SweepResult
-
-        result = SweepResult("s", "n")
-        result.append(1, "first")
-        result.append(1, "second")
-        assert result.result_for(1) == "first"
-
-    def test_result_for_unhashable_values_fall_back_to_scan(self):
-        from repro.core import SweepResult
-
-        result = SweepResult("s", "n")
-        result.append([1, 2], "list-param")
-        assert result.result_for([1, 2]) == "list-param"
-        with pytest.raises(ExperimentError):
-            result.result_for([3])
-
-    def test_index_scales_past_linear_scan(self):
-        result = ParameterSweep("s", "n", lambda n: n).execute(range(2000))
-        assert result.result_for(1999) == 1999
 
 
 class TestReport:

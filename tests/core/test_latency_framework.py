@@ -139,16 +139,6 @@ class TestRunnable:
             probe=lambda: latencies,
         )
 
-    def test_resource_study_is_runnable(self):
-        from repro.core import Runnable
-
-        assert isinstance(self.make_study([10.0]), Runnable)
-
-    def test_parameter_sweep_is_runnable(self):
-        from repro.core import ParameterSweep, Runnable
-
-        assert isinstance(ParameterSweep("s", "n", lambda n: n), Runnable)
-
     def test_study_run_equals_evaluate(self):
         study = self.make_study([10.0, 200.0])
         assert study.run() == evaluate(study)

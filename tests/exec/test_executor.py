@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from repro.core import ParameterSweep
 from repro.errors import ExperimentError
 from repro.exec import (
     ProcessBackend,
@@ -114,27 +113,3 @@ class TestSweepExecutorMap:
         stream = io.StringIO()
         SweepExecutor(progress=stream).map("sq", square, [1])
         assert "sq" in stream.getvalue()
-
-
-class TestParameterSweepDelegation:
-    def test_execute_with_executor_matches_plain_execute(self):
-        sweep = ParameterSweep("squares", "n", square)
-        plain = sweep.execute([1, 2, 3])
-        routed = sweep.execute([1, 2, 3], executor=serial_executor())
-        assert routed.rows == plain.rows
-        assert routed.name == plain.name
-        assert routed.parameter == plain.parameter
-
-    def test_execute_with_process_executor_matches(self):
-        sweep = ParameterSweep("squares", "n", square)
-        executor = SweepExecutor(backend="process", jobs=2)
-        assert sweep.execute([1, 2, 3, 4], executor=executor).rows == [
-            (1, 1),
-            (2, 4),
-            (3, 9),
-            (4, 16),
-        ]
-
-    def test_empty_values_still_rejected(self):
-        with pytest.raises(ExperimentError):
-            ParameterSweep("s", "n", square).execute([], executor=serial_executor())

@@ -121,6 +121,65 @@ class TestClosedLoopLatency:
         assert first
 
 
+class TestMeasure:
+    """``Fleet.measure``: the one warm-up / discard / measure window."""
+
+    def co_fleet(self):
+        fleet = small_fleet(seed=5, co_safe_sessions=True)
+        fleet.open_session("a", rate_hz=4.0)
+        fleet.open_session("b", rate_hz=8.0)
+        return fleet
+
+    def test_discards_warmup_samples_from_both_series(self):
+        whole = self.co_fleet()
+        whole.run(1_000.0)
+        warm = {
+            name: (len(s.latencies_ms), len(s.intended_latencies_ms))
+            for name, s in whole.sessions.items()
+        }
+        whole.run(2_000.0)
+        assert all(raw and corrected for raw, corrected in warm.values())
+
+        measured = self.co_fleet()
+        measured.measure(1_000.0, 2_000.0)
+        assert measured.sim.now == whole.sim.now
+        for name, session in measured.sessions.items():
+            raw, corrected = warm[name]
+            reference = whole.sessions[name]
+            assert session.latencies_ms == reference.latencies_ms[raw:]
+            assert (
+                session.intended_latencies_ms
+                == reference.intended_latencies_ms[corrected:]
+            )
+
+    def test_tracker_counts_only_post_warmup_corrected_samples(self):
+        from repro.slo import LatencyBudget, SloTracker
+
+        fleet = self.co_fleet()
+        tracker = SloTracker(LatencyBudget("interaction", 100.0))
+        fleet.measure(1_000.0, 2_000.0, tracker)
+        assert fleet.slo_tracker is tracker
+        assert tracker.samples == len(fleet.corrected_latencies_ms()) > 0
+
+    def test_without_tracker_detaches_the_previous_one(self):
+        from repro.slo import LatencyBudget, SloTracker
+
+        fleet = self.co_fleet()
+        stale = SloTracker(LatencyBudget("interaction", 100.0))
+        fleet.slo_tracker = stale
+        fleet.measure(1_000.0, 1_000.0)
+        assert fleet.slo_tracker is None
+        # The stale tracker saw warmup only: more samples came after it.
+        assert 0 < stale.samples
+        assert fleet.corrected_latencies_ms()
+
+    def test_empty_window_keeps_no_samples(self):
+        fleet = self.co_fleet()
+        fleet.measure(1_000.0, 0.0)
+        assert fleet.latencies_ms() == []
+        assert fleet.corrected_latencies_ms() == []
+
+
 class TestFailure:
     def test_fail_server_migrates_sessions(self):
         fleet = small_fleet(num_servers=3, capacity_per_server=4)

@@ -8,6 +8,7 @@ from repro.fleet.experiments import (
     CAPACITY_FLEET_SIZES,
     CAPACITY_PER_SERVER,
     PLACEMENT_POLICIES_ORDER,
+    _drive_fleet,
     _fleet_capacity_point,
     _fleet_placement_point,
 )
@@ -71,6 +72,30 @@ class TestPointFunctions:
             for policy in ("least_loaded", "session_affinity")
         }
         assert len(set(results.values())) == len(results)
+
+
+class TestDriveFleet:
+    def test_cycles_rates_and_feeds_the_tracker_from_the_window(self):
+        from repro.core.server import ServerConfig
+        from repro.fleet import Fleet, FleetConfig
+        from repro.slo import LatencyBudget, SloTracker
+
+        config = FleetConfig(
+            server=ServerConfig.tse(include_idle_activity=False),
+            num_servers=2,
+            capacity_per_server=4,
+            co_safe_sessions=True,
+        )
+        fleet = Fleet(config, seed=2)
+        tracker = SloTracker(LatencyBudget("interaction", 100.0))
+        latencies = _drive_fleet(
+            fleet, 4, rates=(2.0, 8.0), measure_ms=1_000.0, tracker=tracker
+        )
+        sessions = list(fleet.sessions.values())
+        assert [s.rate_hz for s in sessions] == [2.0, 8.0, 2.0, 8.0]
+        assert latencies == fleet.latencies_ms() and latencies
+        assert tracker.samples == len(fleet.corrected_latencies_ms())
+        assert fleet.sim.now == 1_500.0 + 1_000.0
 
 
 class TestOutputShape:

@@ -1,8 +1,8 @@
 """Smoke tests: every example script parses, imports, and defines main().
 
-Full runs take minutes (they reproduce multiple figures); the unit suite
-verifies the scripts are importable and structured correctly.  The
-examples themselves are exercised in CI-style by running them directly.
+The unit suite only checks that the scripts import and are structured
+correctly; running them end to end is ``make examples`` (all seven take
+seconds), which the CI ``test`` job runs after the unit suite.
 """
 
 import importlib.util

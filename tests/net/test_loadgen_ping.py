@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import NetworkError
 from repro.net import Link, Pinger, PoissonLoadGenerator, run_ping_experiment
+from repro.net.ping import poisson_probes
 from repro.sim import Simulator
 
 
@@ -82,3 +83,91 @@ def test_ping_experiment_deterministic():
     a = run_ping_experiment([5.0], duration_ms=5_000.0, seed=9)
     b = run_ping_experiment([5.0], duration_ms=5_000.0, seed=9)
     assert a[0].rtts_ms == b[0].rtts_ms
+
+
+class RecordingLink(Link):
+    """A link that remembers every send: ``(time, channel)``."""
+
+    def __init__(self, sim):
+        super().__init__(sim, bandwidth_mbps=10.0, propagation_ms=0.05)
+        self.sends = []
+
+    def send(self, packet, on_delivered=None):
+        self.sends.append((self.sim.now, packet.channel))
+        super().send(packet, on_delivered)
+
+
+def run_probes(*, echo, seed=7, interval_ms=5.0, warmup_ms=100.0, until=400.0):
+    sim = Simulator()
+    link = RecordingLink(sim)
+    rng = random.Random(seed)
+    samples, sends_before = [], []
+    poisson_probes(
+        sim,
+        link,
+        rng,
+        interval_ms,
+        warmup_ms,
+        lambda sent_at, delay: samples.append((sent_at, delay)),
+        echo=echo,
+        on_send=lambda sent_at: sends_before.append((sent_at, len(link.sends))),
+    )
+    sim.run_until(until)
+    probes = [t for t, channel in link.sends if channel == "probe"]
+    return link, rng, probes, samples, sends_before
+
+
+def test_poisson_probe_warmup_is_sent_but_not_sampled():
+    link, __, probes, samples, __2 = run_probes(echo=False)
+    warm = [t for t in probes if t < 100.0]
+    assert warm, "the warmup window should carry probes"
+    assert all(channel == "probe" for __, channel in link.sends)
+    measured = [t for t in probes if t >= 100.0]
+    sampled = [sent_at for sent_at, __ in samples]
+    # Only the last probe may still be on the wire at the horizon.
+    assert sampled == measured[: len(sampled)]
+    assert len(sampled) >= len(measured) - 1
+    # One transit: 64 bytes at 10 Mbps plus propagation, more when queued.
+    delays = [d for __, d in samples]
+    assert min(delays) == pytest.approx(64 / 1250.0 + 0.05, rel=1e-6)
+
+
+def test_poisson_probe_on_send_fires_after_warmup_before_the_send():
+    link, __, probes, __2, sends_before = run_probes(echo=False)
+    assert [t for t, __ in sends_before] == [t for t in probes if t >= 100.0]
+    for sent_at, index in sends_before:
+        # The probe's own send is the next one on the wire.
+        assert link.sends[index] == (sent_at, "probe")
+
+
+def test_poisson_probe_echo_samples_cover_both_transits():
+    link, __, probes, samples, __2 = run_probes(echo=True)
+    echoes = [t for t, channel in link.sends if channel == "probe_echo"]
+    # Every delivered request echoes, warmup probes included.
+    assert len(echoes) >= len(probes) - 1
+    assert any(t < 100.0 for t in echoes)
+    # Request and echo each cross the wire: no sample beats two transits.
+    round_trip = 2 * (64 / 1250.0 + 0.05)
+    delays = [d for __, d in samples]
+    assert min(delays) == pytest.approx(round_trip, rel=1e-6)
+
+
+@pytest.mark.parametrize("echo", [False, True])
+def test_poisson_probe_draws_once_per_probe(echo):
+    __, rng, probes, __2, __3 = run_probes(echo=echo)
+    reference = random.Random(7)
+    # One draw per probe sent, plus the draw that scheduled the next one.
+    for __ in range(len(probes) + 1):
+        reference.expovariate(1.0 / 5.0)
+    assert rng.getstate() == reference.getstate()
+
+
+def test_poisson_probes_without_warmup_sample_every_probe():
+    __, __2, probes, __3, sends_before = run_probes(echo=False, warmup_ms=0.0)
+    assert [t for t, __ in sends_before] == probes
+
+
+def test_poisson_probes_same_seed_same_samples():
+    first = run_probes(echo=True, seed=3)[3]
+    second = run_probes(echo=True, seed=3)[3]
+    assert first == second and first

@@ -23,7 +23,6 @@ from repro.obs import (
     DEFAULT_MAX_EVENTS,
     CompactSnapshot,
     Histogram,
-    NullTracer,
     ObservabilityError,
     Observation,
     Tracer,
@@ -252,13 +251,6 @@ class TestRecorderSelection:
         obs = Observation()
         assert type(obs.tracer) is Tracer
         assert isinstance(obs.snapshot_compact(), CompactSnapshot)
-
-    def test_null_tracer_channel_discards(self):
-        tracer = NullTracer()
-        tracer.channel("k", "x")(1.0, 1)
-        tracer.emit(2.0, "k", x=2)
-        assert tracer.events == []
-        assert tracer.dropped == 0
 
 
 class TestHistogramBoundaries:

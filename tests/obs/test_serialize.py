@@ -5,7 +5,6 @@ import os
 
 from repro.obs import (
     Observation,
-    dumps_event,
     dumps_snapshot,
     merge_counters,
     metrics_document,
@@ -35,10 +34,6 @@ def sample_observations():
 
 
 class TestEncoders:
-    def test_dumps_event_is_compact_and_key_sorted(self):
-        line = dumps_event({"t": 1.0, "kind": "e", "b": 2, "a": 1})
-        assert line == '{"a":1,"b":2,"kind":"e","t":1.0}'
-
     def test_dumps_snapshot_is_key_sorted_and_newline_terminated(self):
         text = dumps_snapshot({"b": 1, "a": {"z": 2, "y": 3}})
         assert text.endswith("\n")

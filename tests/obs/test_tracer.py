@@ -6,7 +6,6 @@ import pytest
 
 from repro.obs import (
     DEFAULT_MAX_EVENTS,
-    NullTracer,
     Observation,
     ObservabilityError,
     Tracer,
@@ -41,14 +40,6 @@ class TestTracer:
 
     def test_default_cap(self):
         assert Tracer().max_events == DEFAULT_MAX_EVENTS
-
-
-class TestNullTracer:
-    def test_discards_everything(self):
-        tracer = NullTracer()
-        tracer.emit(1.0, "a", x=1)
-        assert tracer.events == []
-        assert tracer.dropped == 0
 
 
 class TestObservation:

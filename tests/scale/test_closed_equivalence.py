@@ -150,3 +150,9 @@ class TestValidation:
     def test_bad_population_rejected(self):
         with pytest.raises(NetworkError):
             run_closed_curve_point(0)
+
+    def test_no_probe_samples_rejected(self):
+        with pytest.raises(NetworkError, match="closed-curve point produced no"):
+            run_closed_curve_point(
+                10, probe_interval_ms=1e9, duration_ms=2_000.0, seed=1
+            )

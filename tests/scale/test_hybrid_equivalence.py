@@ -27,7 +27,11 @@ import pytest
 pytest.importorskip("numpy")
 
 from repro.errors import NetworkError
-from repro.scale.hybrid import MODES, run_load_curve_point
+from repro.scale.hybrid import (
+    MODES,
+    run_load_curve_point,
+    simulate_hybrid_link_probe,
+)
 
 #: Small-N point both tiers can afford; ~42% utilization, where queues
 #: are real but stable (the regime the curve's knee grows out of).
@@ -123,6 +127,16 @@ class TestValidation:
             run_load_curve_point(10, duration_ms=500.0, warmup_ms=1_000.0)
         with pytest.raises(NetworkError):
             run_load_curve_point(10, probe_interval_ms=0.0)
+
+    def test_no_probe_samples_rejected(self):
+        with pytest.raises(NetworkError, match="load-curve point produced no"):
+            run_load_curve_point(
+                10, probe_interval_ms=1e9, duration_ms=2_000.0, seed=1
+            )
+
+    def test_hybrid_link_probe_rejects_zero_interval(self):
+        with pytest.raises(NetworkError, match="probe interval must be positive"):
+            simulate_hybrid_link_probe(0.5, probe_interval_ms=0)
 
     def test_bad_process_rejected(self):
         with pytest.raises(NetworkError):
