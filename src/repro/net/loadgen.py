@@ -557,6 +557,8 @@ class BatchClosedLoopSampler:
         internal echo model (external mode); it is clamped to the blocked
         count so conservation survives an optimistic caller.
         """
+        if completions is not None and completions < 0:
+            raise NetworkError("echo completions cannot be negative")
         thinking, typing, blocked = self.thinking, self.typing, self.blocked
         self.thinking_ticks += thinking
         self.typing_ticks += typing
@@ -565,8 +567,6 @@ class BatchClosedLoopSampler:
         t2y = int(chain.binomial(thinking, self.p_think)) if thinking else 0
         keys = int(chain.binomial(typing, self.p_type)) if typing else 0
         if completions is not None:
-            if completions < 0:
-                raise NetworkError("echo completions cannot be negative")
             done = min(int(completions), blocked)
         elif self.echo_servers is None:
             done = int(self._echo.binomial(blocked, self.p_echo)) if blocked else 0
@@ -574,8 +574,12 @@ class BatchClosedLoopSampler:
             busy = min(blocked, self.echo_servers)
             mean = busy * (self.tick_ms / self.echo_ms)
             done = min(blocked, int(self._echo.poisson(mean))) if busy else 0
+        # binomial(n, 0.0) is 0 without touching the stream, so single-key
+        # bursts skip the call outright.
         resume = (
-            int(self._echo.binomial(done, self.continue_prob)) if done else 0
+            int(self._echo.binomial(done, self.continue_prob))
+            if done and self.continue_prob
+            else 0
         )
         self.thinking = thinking + done - resume - t2y
         self.typing = typing + t2y + resume - keys

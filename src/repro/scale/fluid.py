@@ -23,12 +23,30 @@ approximation, and it vanishes as ``tick_ms`` shrinks relative to the
 service time (the differential-equivalence suite pins this at small N).
 
 Integration is O(ticks crossed), amortized O(total ticks) per run —
-independent of the population size.
+independent of the population size.  Both per-tick series are packed
+doubles (``array('d')``, 8 bytes per tick): indexing one yields a builtin
+``float``, so the integrator's scalar loop and every delay it reports stay
+plain Python floats, while the whole-horizon scans run as numpy passes
+over the same buffers.
 """
 
 from __future__ import annotations
 
+from array import array
+
 from ..errors import NetworkError
+from ..net.loadgen import _numpy
+
+
+def _sequential_total(np, values) -> float:
+    """Left-to-right float total of *values*, bit-identical to a Python loop.
+
+    ``np.add.accumulate`` adds strictly in order (``np.sum`` is pairwise,
+    and builtin ``sum`` compensates from Python 3.12 on).
+    """
+    if not len(values):
+        return 0.0
+    return float(np.add.accumulate(values)[-1])
 
 
 class FluidBackground:
@@ -58,14 +76,18 @@ class FluidBackground:
             raise NetworkError("tick_ms must be positive")
         if start_ms < 0:
             raise NetworkError("start_ms cannot be negative")
+        np = _numpy()
+        offered = np.asarray(tick_bytes, dtype=np.float64)
+        if (offered < 0).any():
+            raise NetworkError("offered bytes cannot be negative")
         self.link = link
         self.tick_ms = tick_ms
         self.start_ms = start_ms
-        capacity = link.bytes_per_ms
+        self._capacity = capacity = link.bytes_per_ms
         # Inflow ratio per tick: background work-ms arriving per elapsed ms.
-        self._rho = [float(b) / tick_ms / capacity for b in tick_bytes]
-        self._bytes = [float(b) for b in tick_bytes]
-        self.offered_bytes_total = float(sum(self._bytes))
+        self._rho = array("d", offered / tick_ms / capacity)
+        self._bytes = array("d", offered)
+        self.offered_bytes_total = _sequential_total(np, offered)
         self._w = 0.0  # unfinished work (ms of transmission) at time _t
         self._t = start_ms
         self.peak_backlog_ms = 0.0
@@ -138,12 +160,13 @@ class FluidBackground:
         """
         if tick_bytes < 0:
             raise NetworkError("offered bytes cannot be negative")
-        if self._t > self.end_ms:
+        tick = self.tick_ms
+        if self._t > self.start_ms + tick * len(self._rho):
             raise NetworkError(
                 "cannot append a background tick the integrator has passed"
             )
         b = float(tick_bytes)
-        self._rho.append(b / self.tick_ms / self.link.bytes_per_ms)
+        self._rho.append(b / tick / self._capacity)
         self._bytes.append(b)
         self.offered_bytes_total += b
 
@@ -161,15 +184,22 @@ class FluidBackground:
         """Background bytes offered over ``[t0, t1)`` (pro-rata at edges)."""
         if t1 <= t0:
             raise NetworkError("empty offered_bytes window")
-        total = 0.0
+        np = _numpy()
         tick = self.tick_ms
-        for i, b in enumerate(self._bytes):
-            lo = self.start_ms + i * tick
-            hi = lo + tick
-            overlap = min(hi, t1) - max(lo, t0)
-            if overlap > 0:
-                total += b * (overlap / tick)
-        return total
+        start = self.start_ms
+        n = len(self._bytes)
+        # Scan only the ticks near the window; one tick of slack each side
+        # absorbs rounding in the index estimate, and the overlap mask
+        # below decides membership exactly as a scan of every tick would.
+        first = max(0, int((t0 - start) // tick) - 1) if t0 > start else 0
+        stop = min(n, int((t1 - start) // tick) + 2) if t1 < self.end_ms else n
+        if first >= stop:
+            return 0.0
+        b = np.frombuffer(self._bytes, dtype=np.float64)[first:stop]
+        lo = start + np.arange(first, stop, dtype=np.float64) * tick
+        overlap = np.minimum(lo + tick, t1) - np.maximum(lo, t0)
+        hit = overlap > 0
+        return _sequential_total(np, b[hit] * (overlap[hit] / tick))
 
     def utilization(self, t0: float, t1: float) -> float:
         """Background offered load over ``[t0, t1)`` as a fraction of capacity."""

@@ -136,7 +136,6 @@ class BackgroundPopulation:
             n_ticks += 1
         sampler = spec.sampler(seed)
         counts = sampler.tick_counts(n_ticks)
-        self.tick_counts = counts
         self.packets_offered = int(counts.sum())
         self.fluid = FluidBackground(
             link, spec.tick_ms, counts * float(spec.packet_bytes)

@@ -296,6 +296,38 @@ class TestClosedLoopInvariants:
         keys, done = sampler.step(completions=0)
         assert done == 0  # starved echoes leave everyone blocked
 
+    def test_rejected_completions_leave_the_chain_untouched(self):
+        sampler = closed_sampler(3, sources=1_000)
+        sampler.advance(50)
+
+        def snapshot():
+            return (
+                sampler.thinking, sampler.typing, sampler.blocked,
+                sampler.thinking_ticks, sampler.typing_ticks,
+                sampler.blocked_ticks, sampler.ticks_sampled,
+                sampler.keystrokes_total, sampler.completions_total,
+                sampler._chain.bit_generator.state,
+                sampler._echo.bit_generator.state,
+            )
+
+        before = snapshot()
+        with pytest.raises(NetworkError):
+            sampler.step(completions=-1)
+        assert snapshot() == before
+
+    def test_single_key_bursts_draw_no_resume(self):
+        """burst_keys=1 never continues a burst, so completions leave the
+        echo stream where it was."""
+        sampler = BatchClosedLoopSampler(
+            2_000.0, 100.0, 50.0, 5.0, sources=1_000, seed=5, burst_keys=1.0
+        )
+        sampler.advance(50)
+        state = sampler._echo.bit_generator.state
+        blocked = sampler.blocked
+        keys, done = sampler.step(completions=blocked)
+        assert done == blocked > 0
+        assert sampler._echo.bit_generator.state == state
+
     def test_closed_sampler_rejects_bad_parameters(self):
         with pytest.raises(NetworkError):
             BatchClosedLoopSampler(0.0, 100.0, 50.0, 5.0)

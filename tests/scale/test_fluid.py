@@ -3,8 +3,11 @@
 Every case here is closed-form: constant-rate ticks make W(t) a sequence
 of linear ramps, so build-up, drain, idle tails, discrete steps, and the
 pro-rata window accounting can all be asserted exactly — no sampling, no
-tolerance.
+tolerance.  The exactness cases hold the vectorised window scan to the
+bits of the plain per-tick loop it replaced.
 """
+
+import random
 
 import pytest
 
@@ -17,6 +20,18 @@ from repro.sim.engine import Simulator
 
 def make_link(**kwargs):
     return Link(Simulator(), **kwargs)
+
+
+def loop_offered_bytes(tick_bytes, tick, start, t0, t1):
+    """The per-tick reference scan: every tick, pro-rata, left to right."""
+    total = 0.0
+    for i, b in enumerate(tick_bytes):
+        lo = start + i * tick
+        hi = lo + tick
+        overlap = min(hi, t1) - max(lo, t0)
+        if overlap > 0:
+            total += b * (overlap / tick)
+    return total
 
 
 class TestWorkloadIntegration:
@@ -115,6 +130,84 @@ class TestWindowAccounting:
             fluid.offered_bytes(5.0, 5.0)
 
 
+class TestExactness:
+    """``==``, not ``approx``: the numpy scans keep the loop's float order."""
+
+    def random_windows(self, rng, start, end, count=200):
+        for __ in range(count):
+            t0 = rng.uniform(start - 30.0, end + 30.0)
+            yield t0, t0 + rng.uniform(1e-3, end - start + 60.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("start", [0.0, 17.3])
+    def test_offered_bytes_matches_the_loop(self, seed, start):
+        rng = random.Random(seed)
+        tick = rng.choice([0.2, 1.0, 2.5, 10.0])
+        values = [rng.choice([0.0, rng.uniform(0.0, 5e4)]) for __ in range(500)]
+        link = make_link(bandwidth_mbps=10.0)
+        fluid = FluidBackground(link, tick, values, start_ms=start, attach=False)
+        end = start + tick * len(values)
+        windows = [
+            (start - 50.0, start - 10.0),  # entirely before the series
+            (end + 1.0, end + 40.0),  # entirely after it
+            (start - 5.0, end + 5.0),  # the whole horizon
+            (start + 0.25 * tick, start + 3.75 * tick),  # partial edge ticks
+            *self.random_windows(rng, start, end),
+        ]
+        for t0, t1 in windows:
+            assert fluid.offered_bytes(t0, t1) == loop_offered_bytes(
+                values, tick, start, t0, t1
+            )
+        total = 0.0
+        for b in values:
+            total += b
+        assert fluid.offered_bytes_total == total
+
+    def test_appended_ticks_match_the_loop(self):
+        rng = random.Random(9)
+        link = make_link(bandwidth_mbps=10.0)
+        presampled = [rng.uniform(0.0, 4e4) for __ in range(50)]
+        fluid = FluidBackground(link, 1.0, presampled, start_ms=3.0, attach=False)
+        appended = [rng.uniform(0.0, 4e4) for __ in range(50)]
+        for i, b in enumerate(appended):
+            fluid.offer_tick(b)
+            # A window query between appends must not pin the buffers.
+            values = presampled + appended[: i + 1]
+            assert fluid.offered_bytes(0.0, 200.0) == loop_offered_bytes(
+                values, 1.0, 3.0, 0.0, 200.0
+            )
+        for t0, t1 in self.random_windows(rng, 3.0, 103.0):
+            assert fluid.offered_bytes(t0, t1) == loop_offered_bytes(
+                values, 1.0, 3.0, t0, t1
+            )
+
+    def test_empty_series_offers_nothing(self):
+        link = make_link(bandwidth_mbps=10.0)
+        fluid = FluidBackground(link, 1.0, (), attach=False)
+        assert fluid.offered_bytes(0.0, 10.0) == 0.0
+        assert fluid.offered_bytes_total == 0.0
+        assert fluid.n_ticks == 0
+
+    def test_delays_are_builtin_floats(self):
+        np = pytest.importorskip("numpy")
+        link = make_link(bandwidth_mbps=10.0)
+        cap = link.bytes_per_ms
+        fluid = FluidBackground(
+            link, 1.0, np.array([2.0 * cap] * 10), attach=False
+        )
+        assert type(fluid.queueing_delay_ms(5.5)) is float
+        assert type(fluid.offered_bytes(0.0, 4.5)) is float
+        assert type(fluid.offered_bytes_total) is float
+
+    def test_series_store_eight_bytes_per_tick(self):
+        link = make_link(bandwidth_mbps=10.0)
+        fluid = FluidBackground(link, 1.0, [1.0, 2.0], attach=False)
+        fluid.offer_tick(3.0)
+        assert fluid._rho.itemsize == 8
+        assert fluid._bytes.itemsize == 8
+        assert len(fluid._rho) == len(fluid._bytes) == 3
+
+
 class TestLinkIntegration:
     def test_quiet_background_means_plain_delay(self):
         sim = Simulator()
@@ -188,6 +281,10 @@ class TestLinkIntegration:
             FluidBackground(link, 0.0, [0.0], attach=False)
         with pytest.raises(NetworkError):
             FluidBackground(link, 1.0, [0.0], start_ms=-1.0, attach=False)
+        with pytest.raises(NetworkError, match="cannot be negative"):
+            FluidBackground(link, 1.0, [-5000, 0], attach=False)
         fluid = FluidBackground(link, 1.0, [0.0], attach=False)
         with pytest.raises(NetworkError):
             fluid.add_work_ms(-1.0)
+        with pytest.raises(NetworkError, match="cannot be negative"):
+            fluid.offer_tick(-1)
