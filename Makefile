@@ -9,7 +9,7 @@ test:
 	pytest tests/
 
 bench:
-	pytest benchmarks/ --benchmark-only -s
+	pytest benchmarks/ -s
 
 repro-all:
 	python -m repro run all --csv results/

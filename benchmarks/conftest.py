@@ -1,20 +1,13 @@
 """Shared helpers for the figure/table benchmarks.
 
-Every benchmark regenerates one of the paper's tables or figures and
-prints the corresponding rows/series (run with ``-s`` to see them inline;
-pytest captures stdout otherwise).  Experiments are deterministic, so each
-is benchmarked with a single pedantic round — the interesting output is
-the reproduced data, not the wall-clock time.
+Every benchmark regenerates one of the paper's tables or figures, prints
+the corresponding rows/series (run with ``-s`` to see them inline; pytest
+captures stdout otherwise) and asserts the paper's shape on them.
+Experiments are deterministic, so each runs once; the interesting output
+is the reproduced data, not the wall-clock time.
 """
 
 from __future__ import annotations
-
-import pytest
-
-
-def run_once(benchmark, fn, *args, **kwargs):
-    """Benchmark *fn* with one round/iteration and return its result."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
 
 
 def emit(text: str) -> None:

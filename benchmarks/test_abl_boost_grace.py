@@ -9,7 +9,7 @@ latency with no modifications to the scheduler" — they estimate processors
 2.5-5.5x the reference 100 MHz Pentium suffice.
 """
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.core import format_table
 from repro.workloads import run_maximize_experiment
@@ -21,8 +21,8 @@ def reproduce_boost_grace():
     return [(s, run_maximize_experiment(cpu_speed=s)) for s in SPEEDS]
 
 
-def test_abl_boost_grace(benchmark):
-    rows = run_once(benchmark, reproduce_boost_grace)
+def test_abl_boost_grace():
+    rows = reproduce_boost_grace()
 
     emit(
         format_table(

@@ -18,7 +18,7 @@ its choice of the effective-RR characterization for the latencies the
 X/vim pipeline actually exhibited.
 """
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.core import format_table
 from repro.cpu.goodness import LinuxGoodnessScheduler
@@ -48,8 +48,8 @@ def reproduce_goodness_comparison(seed: int = 0):
     return out
 
 
-def test_abl_goodness(benchmark):
-    results = run_once(benchmark, reproduce_goodness_comparison)
+def test_abl_goodness():
+    results = reproduce_goodness_comparison()
 
     rows = []
     for model, series in results.items():

@@ -9,7 +9,7 @@ This bench decomposes each protocol's display channel by message kind and
 quantifies the TCP/IP framing tax as a function of message size.
 """
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.core import format_table
 from repro.net import DISPLAY_CHANNEL
@@ -17,8 +17,8 @@ from repro.net.framing import framing_overhead_fraction
 from repro.workloads import run_protocol_comparison
 
 
-def test_abl_idiom_profile(benchmark):
-    taps = run_once(benchmark, run_protocol_comparison, 0)
+def test_abl_idiom_profile():
+    taps = run_protocol_comparison(0)
 
     rows = []
     for name in ("x", "lbx", "rdp"):

@@ -10,7 +10,7 @@ and re-run the Figure 7 sweep with it: the cliff disappears and load above
 the capacity point grows gracefully instead of jumping two orders.
 """
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.core import format_table
 from repro.workloads import run_frame_count_sweep
@@ -29,8 +29,8 @@ def reproduce_loop_cache_ablation():
     return lru, aware
 
 
-def test_abl_loop_cache(benchmark):
-    lru, aware = run_once(benchmark, reproduce_loop_cache_ablation)
+def test_abl_loop_cache():
+    lru, aware = reproduce_loop_cache_ablation()
 
     emit(
         format_table(

@@ -11,7 +11,7 @@ protected, and the keystroke response stays at the 50 ms baseline even at
 >=100% page demand.
 """
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.core import format_table
 from repro.memory import BASELINE_RESPONSE_MS, run_memory_latency_experiment
@@ -31,8 +31,8 @@ def reproduce_throttle_ablation(seed: int = 0):
     return out
 
 
-def test_abl_mem_throttle(benchmark):
-    results = run_once(benchmark, reproduce_throttle_ablation)
+def test_abl_mem_throttle():
+    results = reproduce_throttle_ablation()
 
     rows = []
     for (os_name, mode), result in results.items():

@@ -11,7 +11,7 @@ with the quantum, while a *long* interactive operation suffers from
 fragmentation when quanta shrink.
 """
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.core import format_table
 from repro.cpu import CPU, Burst, LinuxScheduler, Thread, sink_thread
@@ -59,8 +59,8 @@ def reproduce_quantum_sweep():
     ]
 
 
-def test_abl_quantum_sweep(benchmark):
-    rows = run_once(benchmark, reproduce_quantum_sweep)
+def test_abl_quantum_sweep():
+    rows = reproduce_quantum_sweep()
 
     emit(
         format_table(

@@ -11,7 +11,7 @@ application workload over all five protocols — the comparison the paper's
 related-work section describes but never tabulates.
 """
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.core import format_table
 from repro.workloads.apps import application_workload, replay_workload
@@ -24,8 +24,8 @@ def reproduce_extended_comparison(seed: int = 0):
     return {name: replay_workload(name, steps) for name in ALL_PROTOCOLS}
 
 
-def test_abl_related_protocols(benchmark):
-    taps = run_once(benchmark, reproduce_extended_comparison)
+def test_abl_related_protocols():
+    taps = reproduce_extended_comparison()
 
     traces = {name: taps[name].trace() for name in ALL_PROTOCOLS}
     x_bytes = traces["x"].total_bytes

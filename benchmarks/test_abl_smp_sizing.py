@@ -8,7 +8,7 @@ the paper's way — concurrent typing users vs per-keystroke latency — and
 show the CPU dimension scaling with processor count.
 """
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.core import format_table
 from repro.workloads.sizing import max_users_under_sla, run_sizing_experiment
@@ -30,8 +30,8 @@ def reproduce_sizing(seed: int = 0):
     }
 
 
-def test_abl_smp_sizing(benchmark):
-    results = run_once(benchmark, reproduce_sizing)
+def test_abl_smp_sizing():
+    results = reproduce_sizing()
 
     rows = []
     for cpus, series in results.items():

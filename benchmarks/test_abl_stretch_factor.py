@@ -12,7 +12,7 @@ the competitors are foreground too.
 """
 
 import pytest
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.core import format_table
 from repro.cpu import NTConfig, NTScheduler
@@ -37,8 +37,8 @@ def reproduce_stretch_sweep(seed: int = 0):
     return out
 
 
-def test_abl_stretch_factor(benchmark):
-    results = run_once(benchmark, reproduce_stretch_sweep)
+def test_abl_stretch_factor():
+    results = reproduce_stretch_sweep()
 
     stalls = {
         stretch: {r.queue_length: r.average_stall_ms for r in series}

@@ -10,7 +10,7 @@ TSE and Linux: the IA class keeps the echo thread's stalls flat while the
 production schedulers degrade.
 """
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.core import format_table
 from repro.workloads import run_stall_experiment
@@ -28,8 +28,8 @@ def reproduce_svr4_comparison(seed: int = 0):
     }
 
 
-def test_abl_svr4_interactive(benchmark):
-    results = run_once(benchmark, reproduce_svr4_comparison)
+def test_abl_svr4_interactive():
+    results = reproduce_svr4_comparison()
 
     stalls = {
         os_name: {r.queue_length: r.average_stall_ms for r in series}

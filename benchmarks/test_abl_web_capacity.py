@@ -13,7 +13,7 @@ delivers the full 10 Mbps, so complete saturation lands at 6–7 of our
 ~1.4 Mbps pages rather than exactly five.)
 """
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.core import ServerConfig, ThinClientServer, format_table
 
@@ -40,8 +40,8 @@ def reproduce_web_capacity(seed: int = 3):
     return rows
 
 
-def test_abl_web_capacity(benchmark):
-    rows = run_once(benchmark, reproduce_web_capacity)
+def test_abl_web_capacity():
+    rows = reproduce_web_capacity()
 
     emit(
         format_table(

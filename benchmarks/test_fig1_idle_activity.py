@@ -5,7 +5,7 @@ extra spikes from the Terminal Service / Session Manager, Linux is nearly
 flat.
 """
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.core import format_table, sparkline
 from repro.cpu import OS_NAMES, run_idle_experiment
@@ -21,8 +21,8 @@ def reproduce_fig1(seed: int = 0):
     return results
 
 
-def test_fig1_idle_activity(benchmark):
-    results = run_once(benchmark, reproduce_fig1)
+def test_fig1_idle_activity():
+    results = reproduce_fig1()
 
     rows = []
     for os_name, result in results.items():

@@ -5,7 +5,7 @@ near 250 ms and 400 ms; "TSE generates about three times the idle-state
 load that NT Workstation does, and about seven times that of Linux."
 """
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.core import format_table
 from repro.cpu import OS_NAMES, run_idle_experiment
@@ -21,8 +21,8 @@ def reproduce_fig2(seed: int = 0):
     }
 
 
-def test_fig2_cumulative_latency(benchmark):
-    results = run_once(benchmark, reproduce_fig2)
+def test_fig2_cumulative_latency():
+    results = reproduce_fig2()
 
     curves = {
         os_name: result.cumulative_latency_curve(THRESHOLDS)[1]

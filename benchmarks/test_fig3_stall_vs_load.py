@@ -5,7 +5,7 @@ sharply around 10 load units and the system is barely usable by 15; Linux
 degrades linearly and more slowly out to 50.
 """
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.core import format_table
 from repro.workloads import run_stall_experiment
@@ -26,8 +26,8 @@ def reproduce_fig3(seed: int = 0):
     }
 
 
-def test_fig3_stall_vs_load(benchmark):
-    results = run_once(benchmark, reproduce_fig3)
+def test_fig3_stall_vs_load():
+    results = reproduce_fig3()
 
     rows = []
     for os_name, series in results.items():

@@ -6,7 +6,7 @@ the combined frame sets overflow the client's 1.5 MB bitmap cache while
 each alone fits, so load is wildly non-linear in the amount of animation.
 """
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.core import format_series, format_table, sparkline
 from repro.workloads import run_webpage_experiment
@@ -21,8 +21,8 @@ def reproduce_fig4():
     }
 
 
-def test_fig4_webpage_load(benchmark):
-    results = run_once(benchmark, reproduce_fig4)
+def test_fig4_webpage_load():
+    results = reproduce_fig4()
 
     rows = []
     for variant, result in results.items():

@@ -5,7 +5,7 @@ appreciable size); LBX compresses but still resends; RDP's client bitmap
 cache reduces the steady-state load to tiny cache-swap messages.
 """
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.core import format_table, sparkline
 from repro.workloads import run_gif_protocol_comparison
@@ -14,8 +14,8 @@ DURATION_MS = 5_000.0
 WARMUP_MS = 500.0  # the first cycle ships frames compulsorily
 
 
-def test_fig5_gif_protocols(benchmark):
-    results = run_once(benchmark, run_gif_protocol_comparison, DURATION_MS)
+def test_fig5_gif_protocols():
+    results = run_gif_protocol_comparison(DURATION_MS)
 
     rows = []
     for name in ("x", "lbx", "rdp"):

@@ -7,7 +7,7 @@ the cumulative cache hit ratio starts around 70% and "falls asymptotically
 toward zero with each subsequent miss."
 """
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.core import format_table, sparkline
 from repro.workloads import run_cache_overflow_experiment
@@ -15,10 +15,8 @@ from repro.workloads import run_cache_overflow_experiment
 DURATION_MS = 60_000.0
 
 
-def test_fig6_cache_overflow(benchmark):
-    result = run_once(
-        benchmark, run_cache_overflow_experiment, 66, DURATION_MS
-    )
+def test_fig6_cache_overflow():
+    result = run_cache_overflow_experiment(66, DURATION_MS)
 
     emit(
         format_table(

@@ -6,7 +6,7 @@ animations defeat LRU bitmap caches exactly the way sequential scans
 defeat LRU disk caches.
 """
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.core import format_series
 from repro.workloads import run_frame_count_sweep
@@ -15,10 +15,8 @@ FRAME_COUNTS = [25, 35, 45, 55, 60, 65, 66, 70, 80, 90, 100]
 DURATION_MS = 60_000.0
 
 
-def test_fig7_cache_cliff(benchmark):
-    rows = run_once(
-        benchmark, run_frame_count_sweep, FRAME_COUNTS, duration_ms=DURATION_MS
-    )
+def test_fig7_cache_cliff():
+    rows = run_frame_count_sweep(FRAME_COUNTS, duration_ms=DURATION_MS)
 
     counts = [c for c, __ in rows]
     mbps = [m for __, m in rows]

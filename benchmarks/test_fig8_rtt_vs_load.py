@@ -5,7 +5,7 @@ RTT stays low until the knee, reaching ~55 ms at 9.6 Mbps — "considerable
 with respect to known levels of human latency tolerance."
 """
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.core import format_series
 from repro.net import run_ping_experiment
@@ -14,10 +14,8 @@ LOAD_LEVELS = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 9.6]
 DURATION_MS = 60_000.0
 
 
-def test_fig8_rtt_vs_load(benchmark):
-    results = run_once(
-        benchmark,
-        run_ping_experiment,
+def test_fig8_rtt_vs_load():
+    results = run_ping_experiment(
         LOAD_LEVELS,
         duration_ms=DURATION_MS,
         seed=0,

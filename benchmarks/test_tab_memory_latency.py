@@ -9,7 +9,7 @@ Paper (10 runs each):
     TSE     >=100%   2,430ms  4,026ms  11,850ms
 """
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.core import format_table
 from repro.memory import BASELINE_RESPONSE_MS, run_memory_latency_experiment
@@ -28,8 +28,8 @@ def reproduce_memory_table(seed: int = 0):
     return out
 
 
-def test_tab_memory_latency(benchmark):
-    results = run_once(benchmark, reproduce_memory_table)
+def test_tab_memory_latency():
+    results = reproduce_memory_table()
 
     rows = []
     for (os_name, demand), result in results.items():

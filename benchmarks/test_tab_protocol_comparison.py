@@ -11,14 +11,14 @@ Headline ratios: RDP < 15% of X and < 30% of LBX in bytes; LBX has ~80%
 more display messages than X with the smallest average message size.
 """
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.core import format_table
 from repro.workloads import run_protocol_comparison
 
 
-def test_tab_protocol_comparison(benchmark):
-    taps = run_once(benchmark, run_protocol_comparison, 0)
+def test_tab_protocol_comparison():
+    taps = run_protocol_comparison(0)
 
     traces = {name: taps[name].trace() for name in ("rdp", "x", "lbx")}
     rows = []

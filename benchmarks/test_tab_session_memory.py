@@ -4,7 +4,7 @@ Paper: idle memory 17 MB (Linux) vs 19 MB (TSE); minimal-login private
 memory 752 KB (Linux/X), 3,244 KB (TSE typical), 2,100 KB (TSE light).
 """
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.core import format_table
 from repro.memory import (
@@ -32,8 +32,8 @@ def reproduce_session_memory():
     }
 
 
-def test_tab_session_memory(benchmark):
-    data = run_once(benchmark, reproduce_session_memory)
+def test_tab_session_memory():
+    data = reproduce_session_memory()
 
     for session in data["sessions"]:
         rows = [(p.name, f"{p.private_kb:,} KB") for p in session.processes]

@@ -4,7 +4,7 @@ Paper: "Session setup costs in our configurations were 45,328 bytes and
 16,312 bytes for TSE and Linux/X, respectively."
 """
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.core import ServerConfig, ThinClientServer, format_table
 from repro.gui import TSE_SETUP, X_SETUP
@@ -23,8 +23,8 @@ def reproduce_session_setup():
     return observed
 
 
-def test_tab_session_setup(benchmark):
-    observed = run_once(benchmark, reproduce_session_setup)
+def test_tab_session_setup():
+    observed = reproduce_session_setup()
 
     emit(
         format_table(

@@ -12,14 +12,14 @@ paper's X did, so its relative savings land below RDP's rather than
 between (see EXPERIMENTS.md).
 """
 
-from conftest import emit, run_once
+from conftest import emit
 
 from repro.core import format_table
 from repro.workloads import run_protocol_comparison
 
 
-def test_tab_vip_savings(benchmark):
-    taps = run_once(benchmark, run_protocol_comparison, 0)
+def test_tab_vip_savings():
+    taps = run_protocol_comparison(0)
 
     rows = []
     savings = {}

@@ -54,14 +54,14 @@ def timed(label: str, executor: SweepExecutor):
 
 def main() -> None:
     with tempfile.TemporaryDirectory() as cache_dir:
-        serial, row_serial = timed("serial, cold", SweepExecutor(backend="serial"))
+        serial, row_serial = timed("serial, cold", SweepExecutor())
         parallel, row_parallel = timed(
             "process x4, cold",
-            SweepExecutor(backend="process", jobs=4, cache=cache_dir),
+            SweepExecutor(jobs=4, cache=cache_dir),
         )
         cached, row_cached = timed(
             "any backend, warm cache",
-            SweepExecutor(backend="process", jobs=4, cache=cache_dir),
+            SweepExecutor(jobs=4, cache=cache_dir),
         )
 
     assert parallel == serial, "parallel must reproduce serial"

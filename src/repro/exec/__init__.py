@@ -6,9 +6,9 @@ any worker in any order and merge back deterministically, and finished
 points can replay from an on-disk cache instead of recomputing.  This
 subpackage is the engine that exploits both:
 
-* :class:`SweepExecutor` — maps a point function over parameter values
-  through a pluggable backend (``serial`` or ``process``), merging results
-  in index order;
+* :class:`SweepExecutor` — maps a point function over parameter values,
+  serially or (``jobs > 1``) across worker processes, merging results in
+  index order;
 * :class:`ResultCache` — content-hash-keyed pickle store of finished
   points, invalidated by experiment name, value, seed, or package version;
 * :class:`RunContext` — the single-argument context the CLI hands each
@@ -18,21 +18,12 @@ subpackage is the engine that exploits both:
 canonical consumer; see DESIGN.md §5 for the determinism argument.
 """
 
-from .backends import (
-    BACKEND_NAMES,
-    BackendUnavailable,
-    ProcessBackend,
-    SerialBackend,
-    make_backend,
-    probe_process_backend,
-)
+from .backends import ProcessBackend, SerialBackend, probe_process_backend
 from .cache import CacheStats, ResultCache, point_key
 from .context import RunContext
-from .executor import ObserveSink, SweepExecutor, serial_executor
+from .executor import ObserveSink, SweepExecutor
 
 __all__ = [
-    "BACKEND_NAMES",
-    "BackendUnavailable",
     "CacheStats",
     "ObserveSink",
     "ProcessBackend",
@@ -40,8 +31,6 @@ __all__ = [
     "RunContext",
     "SerialBackend",
     "SweepExecutor",
-    "make_backend",
     "point_key",
     "probe_process_backend",
-    "serial_executor",
 ]

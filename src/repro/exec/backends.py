@@ -31,12 +31,6 @@ from ..errors import ExperimentError
 TaggedValue = Tuple[int, Any]
 PointOutput = Tuple[int, float, Any]
 
-BACKEND_NAMES = ("serial", "process")
-
-
-class BackendUnavailable(ExperimentError):
-    """The requested backend cannot run in this environment."""
-
 
 def _run_point(fn: Callable[[Any], Any], tagged: TaggedValue) -> PointOutput:
     index, value = tagged
@@ -57,9 +51,6 @@ class SerialBackend:
 
     name = "serial"
 
-    def __init__(self, jobs: int = 1) -> None:
-        self.jobs = 1  # serial by definition
-
     def map(
         self, fn: Callable[[Any], Any], tagged: Sequence[TaggedValue]
     ) -> Iterator[PointOutput]:
@@ -73,18 +64,15 @@ class ProcessBackend:
 
     name = "process"
 
-    def __init__(self, jobs: int = 2, chunk_size: Optional[int] = None) -> None:
+    def __init__(self, jobs: int = 2) -> None:
         if jobs < 1:
             raise ExperimentError(f"process backend needs jobs >= 1, got {jobs}")
         self.jobs = jobs
-        self.chunk_size = chunk_size
 
     def _chunks(self, tagged: Sequence[TaggedValue]) -> List[List[TaggedValue]]:
-        size = self.chunk_size
-        if size is None:
-            # Aim for a few chunks per worker so stragglers rebalance, but
-            # never chunks so small that submission overhead dominates.
-            size = max(1, len(tagged) // (self.jobs * 4) or 1)
+        # Aim for a few chunks per worker so stragglers rebalance, but
+        # never chunks so small that submission overhead dominates.
+        size = max(1, len(tagged) // (self.jobs * 4))
         return [list(tagged[i : i + size]) for i in range(0, len(tagged), size)]
 
     def map(
@@ -120,14 +108,3 @@ def probe_process_backend(fn: Callable[[Any], Any]) -> Optional[str]:
     except Exception as exc:  # pragma: no cover - platform-specific
         return f"process pools unavailable ({type(exc).__name__})"
     return None
-
-
-def make_backend(name: str, jobs: int, chunk_size: Optional[int] = None):
-    """Instantiate a backend by name, validating it exists."""
-    if name == "serial":
-        return SerialBackend()
-    if name == "process":
-        return ProcessBackend(jobs=jobs, chunk_size=chunk_size)
-    raise ExperimentError(
-        f"unknown backend {name!r}; expected one of {BACKEND_NAMES}"
-    )

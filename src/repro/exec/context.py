@@ -82,7 +82,6 @@ class RunContext:
         """The sweep engine for this run (built once, then reused)."""
         if self._executor is None:
             self._executor = SweepExecutor(
-                backend="process" if self.jobs > 1 else "serial",
                 jobs=self.jobs,
                 cache=None if self.no_cache else self.cache_dir,
                 progress=self.progress,

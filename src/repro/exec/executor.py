@@ -10,7 +10,7 @@ the benches and the examples call :meth:`SweepExecutor.map`.  Its contract:
 * **Caching.**  With a :class:`~repro.exec.cache.ResultCache` attached,
   previously computed points replay from disk and only changed points
   recompute.
-* **Graceful degradation.**  If the requested backend cannot run (the
+* **Graceful degradation.**  If the process backend cannot run (the
   point function doesn't pickle, the sandbox denies process pools), the
   executor falls back to serial and records why in
   :attr:`~SweepExecutor.last_fallback_reason` instead of failing the sweep.
@@ -18,13 +18,12 @@ the benches and the examples call :meth:`SweepExecutor.map`.  Its contract:
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Any, Callable, List, Optional, Sequence, TypeVar, Union
 
 from ..errors import ExperimentError
 from ..obs import observe
-from .backends import make_backend, probe_process_backend
+from .backends import ProcessBackend, SerialBackend, probe_process_backend
 from .cache import ResultCache
 
 R = TypeVar("R")
@@ -82,8 +81,8 @@ def _as_progress_fn(sink: Optional[ProgressSink]) -> Callable[[str], None]:
 class SweepExecutor:
     """Run sweep points through a backend, with optional result caching.
 
-    ``backend`` is ``"serial"`` or ``"process"``; ``jobs`` bounds worker
-    count for parallel backends (default: the machine's CPU count).
+    ``jobs > 1`` selects the process backend with that many workers;
+    ``jobs=1`` (the default) runs points serially in the calling process.
     ``cache`` may be a :class:`ResultCache`, a directory path, or ``None``
     to disable caching.  ``progress`` receives one human-readable line per
     point plus a sweep summary.
@@ -91,16 +90,14 @@ class SweepExecutor:
 
     def __init__(
         self,
-        backend: str = "serial",
-        jobs: Optional[int] = None,
+        jobs: int = 1,
         cache: Union[ResultCache, str, None] = None,
-        chunk_size: Optional[int] = None,
         progress: Optional[ProgressSink] = None,
         observe_sink: Optional[ObserveSink] = None,
     ) -> None:
-        self.backend_name = backend
-        self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
-        self.chunk_size = chunk_size
+        if jobs < 1:
+            raise ExperimentError(f"sweep executor needs jobs >= 1, got {jobs}")
+        self.jobs = jobs
         self.cache = ResultCache(cache) if isinstance(cache, str) else cache
         self._progress = _as_progress_fn(progress)
         #: When set, every point runs inside an observation and the sink
@@ -112,11 +109,8 @@ class SweepExecutor:
         self.last_fallback_reason: Optional[str] = None
         #: The backend the last sweep actually used.
         self.last_backend_used: Optional[str] = None
-        #: Wall time of the last sweep, seconds (cache lookups included).
-        self.last_elapsed_s: float = 0.0
         #: Per-point compute seconds from the last sweep, keyed by parameter
-        #: index; cached points are absent.  ``benchmarks/perf`` reads this
-        #: to attribute experiment wall time to individual sweep points.
+        #: index; cached points are absent.
         self.last_point_seconds: dict = {}
 
     # -- the engine -----------------------------------------------------
@@ -167,7 +161,6 @@ class SweepExecutor:
             )
 
         elapsed = time.perf_counter() - start
-        self.last_elapsed_s = elapsed
         cached = total - len(pending)
         self._progress(
             f"{name}: {total} points in {elapsed:.2f}s "
@@ -185,27 +178,19 @@ class SweepExecutor:
     def _resolve_backend(self, fn: Callable[[Any], Any], pending: int):
         """Pick the backend for this sweep, falling back to serial."""
         self.last_fallback_reason = None
-        name = self.backend_name
-        if name == "process" and pending <= 1:
-            # One point gains nothing from a pool; skip the fork cost.
-            name = "serial"
-        elif name == "process":
+        backend = SerialBackend()
+        # One point gains nothing from a pool; skip the fork cost.
+        if self.jobs > 1 and pending > 1:
             reason = probe_process_backend(fn)
-            if reason is not None:
+            if reason is None:
+                backend = ProcessBackend(jobs=self.jobs)
+            else:
                 self.last_fallback_reason = reason
                 self._progress(f"falling back to serial: {reason}")
-                name = "serial"
-        backend = make_backend(name, self.jobs, self.chunk_size)
         self.last_backend_used = backend.name
         return backend
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<SweepExecutor backend={self.backend_name!r} jobs={self.jobs} "
-            f"cache={self.cache!r}>"
+            f"<SweepExecutor jobs={self.jobs} cache={self.cache!r}>"
         )
-
-
-def serial_executor() -> SweepExecutor:
-    """The default engine: serial, uncached — plain-old ``map`` semantics."""
-    return SweepExecutor(backend="serial", cache=None)

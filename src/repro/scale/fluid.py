@@ -144,10 +144,6 @@ class FluidBackground:
         self._advance(now)
         return self._w
 
-    def backlog_ms(self, now: float) -> float:
-        """Alias for :meth:`queueing_delay_ms` (reporting-friendly name)."""
-        return self.queueing_delay_ms(now)
-
     def offer_tick(self, tick_bytes: float) -> None:
         """Append one tick's offered bytes at runtime (streaming mode).
 

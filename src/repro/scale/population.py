@@ -432,11 +432,6 @@ class ClosedLoopPopulation:
         """Time-average sessions blocked on echo (Little's L)."""
         return self.sampler.mean_blocked
 
-    @property
-    def backlog_ms(self) -> float:
-        """Peak link backlog the population's fluid inflow produced."""
-        return self.fluid.peak_backlog_ms
-
     def utilization(self, t0: float, t1: float) -> float:
         """Background offered load over ``[t0, t1)`` vs link capacity."""
         return self.fluid.utilization(t0, t1)

@@ -263,14 +263,16 @@ class TestRunContext:
         from repro.exec import RunContext
 
         ctx = RunContext()
-        assert ctx.executor.backend_name == "serial"
+        assert ctx.executor.map("abs", abs, [-1, -2]) == [1, 2]
+        assert ctx.executor.last_backend_used == "serial"
         assert ctx.executor.cache is None
 
     def test_jobs_select_process_backend(self):
         from repro.exec import RunContext
 
         ctx = RunContext(jobs=4)
-        assert ctx.executor.backend_name == "process"
+        assert ctx.executor.map("abs", abs, [-1, -2]) == [1, 2]
+        assert ctx.executor.last_backend_used == "process"
         assert ctx.executor.jobs == 4
 
     def test_no_cache_overrides_cache_dir(self, tmp_path):

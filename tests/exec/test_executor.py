@@ -9,9 +9,7 @@ from repro.exec import (
     ProcessBackend,
     SerialBackend,
     SweepExecutor,
-    make_backend,
     probe_process_backend,
-    serial_executor,
 )
 from repro.sim import derive_point_seed
 
@@ -51,52 +49,49 @@ class TestProcessBackend:
         assert parallel == serial
 
     def test_chunking_covers_every_point(self):
-        backend = ProcessBackend(jobs=2, chunk_size=2)
-        tagged = [(i, i) for i in range(9)]
+        backend = ProcessBackend(jobs=2)
+        tagged = [(i, i) for i in range(19)]
+        assert max(len(chunk) for chunk in backend._chunks(tagged)) == 2
         out = {i: r for i, __, r in backend.map(square, tagged)}
-        assert out == {i: i * i for i in range(9)}
+        assert out == {i: i * i for i in range(19)}
 
     def test_rejects_zero_jobs(self):
         with pytest.raises(ExperimentError):
             ProcessBackend(jobs=0)
+        with pytest.raises(ExperimentError, match="jobs >= 1"):
+            SweepExecutor(jobs=0)
 
     def test_probe_rejects_lambdas(self):
         assert probe_process_backend(lambda n: n) is not None
         assert probe_process_backend(square) is None
-
-    def test_make_backend_rejects_unknown_names(self):
-        with pytest.raises(ExperimentError):
-            make_backend("gpu", jobs=2)
 
 
 class TestSweepExecutorMap:
     def test_serial_and_process_rows_identical(self):
         """The acceptance property: backends never change results."""
         values = [(v, 7) for v in range(6)]
-        serial = SweepExecutor(backend="serial").map("noisy", noisy_metric, values)
-        process = SweepExecutor(backend="process", jobs=3).map(
-            "noisy", noisy_metric, values
-        )
+        serial = SweepExecutor().map("noisy", noisy_metric, values)
+        process = SweepExecutor(jobs=3).map("noisy", noisy_metric, values)
         assert process == serial
 
     def test_merge_is_by_index_not_completion_order(self):
-        executor = SweepExecutor(backend="process", jobs=4, chunk_size=1)
+        executor = SweepExecutor(jobs=4)
         values = list(range(8))
         assert executor.map("sq", square, values) == [v * v for v in values]
 
     def test_empty_values_rejected_with_sweep_name(self):
         with pytest.raises(ExperimentError, match="'sq'"):
-            serial_executor().map("sq", square, [])
+            SweepExecutor().map("sq", square, [])
 
     def test_unpicklable_fn_falls_back_to_serial(self):
-        executor = SweepExecutor(backend="process", jobs=2)
+        executor = SweepExecutor(jobs=2)
         result = executor.map("sq", lambda n: n * n, [1, 2, 3])
         assert result == [1, 4, 9]
         assert executor.last_backend_used == "serial"
         assert "not picklable" in executor.last_fallback_reason
 
     def test_single_point_skips_the_pool(self):
-        executor = SweepExecutor(backend="process", jobs=2)
+        executor = SweepExecutor(jobs=2)
         assert executor.map("sq", square, [5]) == [25]
         assert executor.last_backend_used == "serial"
 

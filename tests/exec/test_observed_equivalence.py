@@ -34,11 +34,9 @@ class Sink:
         self.snapshots[name] = snapshots
 
 
-def run_sweep(*, backend="serial", jobs=1, cache=None):
+def run_sweep(*, jobs=1, cache=None):
     sink = Sink()
-    executor = SweepExecutor(
-        backend=backend, jobs=jobs, cache=cache, observe_sink=sink
-    )
+    executor = SweepExecutor(jobs=jobs, cache=cache, observe_sink=sink)
     results = executor.map("ticks", traced_point, [1, 2, 3, 4])
     return results, sink.snapshots["ticks"], executor
 
@@ -49,15 +47,13 @@ def serialize(snapshots):
 
 class TestBackendEquivalence:
     def test_results_unchanged_by_observation(self):
-        plain = SweepExecutor(backend="serial").map(
-            "ticks", traced_point, [1, 2, 3, 4]
-        )
+        plain = SweepExecutor().map("ticks", traced_point, [1, 2, 3, 4])
         observed, __, __2 = run_sweep()
         assert observed == plain
 
     def test_serial_and_process_snapshots_byte_identical(self):
         __, serial, __2 = run_sweep()
-        __, process, executor = run_sweep(backend="process", jobs=2)
+        __, process, executor = run_sweep(jobs=2)
         assert executor.last_backend_used == "process"
         assert serialize(process) == serialize(serial)
 
@@ -94,7 +90,7 @@ class TestCacheEquivalence:
         payload, and vice versa — the namespaces are disjoint."""
         cache = ResultCache(str(tmp_path))
         run_sweep(cache=cache)
-        plain = SweepExecutor(backend="serial", cache=cache)
+        plain = SweepExecutor(cache=cache)
         results = plain.map("ticks", traced_point, [1, 2, 3, 4])
         assert cache.stats.hits == 0  # nothing leaked across namespaces
         assert results == [50.0] * 4  # run_until always advances the clock
@@ -102,8 +98,6 @@ class TestCacheEquivalence:
     def test_process_run_against_warm_serial_cache_matches(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         __, serial_snaps, __2 = run_sweep(cache=cache)
-        __, warm_snaps, __2 = run_sweep(
-            backend="process", jobs=2, cache=cache
-        )
+        __, warm_snaps, __2 = run_sweep(jobs=2, cache=cache)
         assert cache.stats.hits == 4
         assert serialize(warm_snaps) == serialize(serial_snaps)

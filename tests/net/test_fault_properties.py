@@ -97,10 +97,10 @@ class TestScheduleDeterminism:
             ("burst_enter=0.05,burst_exit=0.3", 11, "ether0", 500),
             ("loss=0.3,reorder=0.2", 13, "wan0", 500),
         ]
-        serial = SweepExecutor(backend="serial").map(
+        serial = SweepExecutor().map(
             "fault-digests", schedule_digest, points
         )
-        parallel = SweepExecutor(backend="process", jobs=3).map(
+        parallel = SweepExecutor(jobs=3).map(
             "fault-digests", schedule_digest, points
         )
         assert serial == parallel
