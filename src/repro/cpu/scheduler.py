@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import abc
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional
+from typing import TYPE_CHECKING, Deque, Dict, Iterator, List, Optional
 
 from ..errors import SchedulerError
 from .thread import Thread
@@ -93,8 +93,11 @@ class Scheduler(abc.ABC):
 class PriorityReadyQueues:
     """Multilevel FIFO ready queues indexed by integer priority.
 
-    Shared by the NT and SVR4 schedulers.  ``higher_is_better`` priorities:
-    :meth:`pop_best` returns the head of the highest non-empty level.
+    Shared by the NT, SVR4 and Linux real-time schedulers.
+    ``higher_is_better`` priorities: :meth:`pop_best` returns the head of the
+    highest non-empty level.  Like NT's dispatcher ready summary, an integer
+    bitmap has bit *p* set exactly when level *p* is non-empty, so selection
+    is one ``bit_length`` instead of a scan over every level.
     """
 
     def __init__(self, levels: int) -> None:
@@ -102,6 +105,7 @@ class PriorityReadyQueues:
             raise SchedulerError("need at least one priority level")
         self.levels = levels
         self._queues: List[Deque[Thread]] = [deque() for _ in range(levels)]
+        self._summary = 0
         self._count = 0
 
     def push(self, thread: Thread, *, front: bool = False) -> None:
@@ -115,37 +119,50 @@ class PriorityReadyQueues:
             self._queues[priority].appendleft(thread)
         else:
             self._queues[priority].append(thread)
+        self._summary |= 1 << priority
         self._count += 1
 
     def pop_best(self) -> Optional[Thread]:
         """Pop the head of the highest-priority non-empty queue."""
-        for priority in range(self.levels - 1, -1, -1):
-            queue = self._queues[priority]
-            if queue:
-                self._count -= 1
-                return queue.popleft()
-        return None
+        summary = self._summary
+        if not summary:
+            return None
+        priority = summary.bit_length() - 1
+        queue = self._queues[priority]
+        thread = queue.popleft()
+        if not queue:
+            self._summary = summary ^ (1 << priority)
+        self._count -= 1
+        return thread
 
     def remove(self, thread: Thread) -> bool:
         """Remove *thread* wherever it is queued.  True if found."""
-        for queue in self._queues:
+        for priority in self._nonempty_levels():
+            queue = self._queues[priority]
             try:
                 queue.remove(thread)
             except ValueError:
                 continue
+            if not queue:
+                self._summary ^= 1 << priority
             self._count -= 1
             return True
         return False
 
     def ready_threads(self) -> List[Thread]:
         """All queued threads, best priority first (for starvation scans)."""
-        out: List[Thread] = []
-        for priority in range(self.levels - 1, -1, -1):
-            out.extend(self._queues[priority])
-        return out
+        return [t for p in self._nonempty_levels() for t in self._queues[p]]
+
+    def _nonempty_levels(self) -> Iterator[int]:
+        """The set bits of the summary, best priority first."""
+        summary = self._summary
+        while summary:
+            priority = summary.bit_length() - 1
+            summary ^= 1 << priority
+            yield priority
 
     def __len__(self) -> int:
         return self._count
 
     def __contains__(self, thread: Thread) -> bool:
-        return any(thread in queue for queue in self._queues)
+        return any(thread in self._queues[p] for p in self._nonempty_levels())

@@ -51,6 +51,7 @@ class Burst:
 
     __slots__ = (
         "demand_ms",
+        "is_infinite",
         "remaining",
         "on_complete",
         "tag",
@@ -68,17 +69,14 @@ class Burst:
         if demand_ms < 0:
             raise SchedulerError(f"negative burst demand: {demand_ms}")
         self.demand_ms = demand_ms
+        #: True for greedy bursts that never voluntarily yield (``sink``).
+        self.is_infinite = math.isinf(demand_ms)
         self.remaining = demand_ms
         self.on_complete = on_complete
         self.tag = tag
         self.created_at: Optional[float] = None
         self.first_run_at: Optional[float] = None
         self.completed_at: Optional[float] = None
-
-    @property
-    def is_infinite(self) -> bool:
-        """True for greedy bursts that never voluntarily yield (``sink``)."""
-        return math.isinf(self.demand_ms)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Burst demand={self.demand_ms} remaining={self.remaining}>"

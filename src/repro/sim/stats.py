@@ -9,7 +9,9 @@ latency by event duration* reduction behind Figure 2.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..errors import SimulationError
@@ -117,7 +119,9 @@ class Histogram:
         elif x >= self.hi:
             self.overflow += weight
         else:
-            self.counts[int((x - self.lo) / self.width)] += weight
+            # Rounding can put x just below hi at index nbins; clamp it.
+            index = min(int((x - self.lo) / self.width), self.nbins - 1)
+            self.counts[index] += weight
 
     @property
     def total(self) -> int:
@@ -148,16 +152,11 @@ def cumulative_latency_by_duration(
     individual duration is ``<= t``, returning **seconds** (the paper's
     y-axis).  The curve's final value is the aggregate idle-state load.
     """
-    out: List[float] = []
     ordered = sorted(durations_ms)
-    for threshold in thresholds_ms:
-        total_ms = 0.0
-        for duration in ordered:
-            if duration > threshold:
-                break
-            total_ms += duration
-        out.append(total_ms / 1000.0)
-    return out
+    # prefix_ms[k] adds the k shortest durations left to right from 0.0, the
+    # order a sequential loop adds them in, so every total keeps its bits.
+    prefix_ms = list(accumulate(ordered, initial=0.0))
+    return [prefix_ms[bisect_right(ordered, t)] / 1000.0 for t in thresholds_ms]
 
 
 def jitter(xs: Sequence[float]) -> float:

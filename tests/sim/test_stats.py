@@ -127,6 +127,14 @@ class TestHistogram:
         h = Histogram(0.0, 10.0, 2)
         assert h.bin_edges() == [0.0, 5.0, 10.0]
 
+    def test_sample_just_below_hi_lands_in_last_bin(self):
+        # (x - lo) / width rounds up to nbins here; the index must clamp.
+        h = Histogram(-9.190312436384449, 0.46468177837110325, 32)
+        h.add(0.4646817783711032)
+        assert h.counts[-1] == 1
+        assert h.overflow == 0
+        assert h.total == 1
+
     def test_bad_bounds_raise(self):
         with pytest.raises(SimulationError):
             Histogram(1.0, 1.0, 10)
