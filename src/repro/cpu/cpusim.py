@@ -108,7 +108,7 @@ class CPU:
         if thread.state is ThreadState.TERMINATED:
             return
         if thread is self.current:
-            self._charge_current()
+            self._charge_current(self.sim.now)
             self._cancel_slice()
             self.current = None
         elif thread.state is ThreadState.READY:
@@ -142,25 +142,26 @@ class CPU:
     # -- state transitions --------------------------------------------------------
 
     def _make_ready(self, thread: Thread) -> None:
+        now = self.sim.now
         thread.state = ThreadState.READY
-        thread.ready_since = self.sim.now
+        thread.ready_since = now
         self.scheduler.enqueue_woken(thread)
         if self.current is not None and self.scheduler.preempts(
             thread, self.current
         ):
-            self._preempt_current()
+            self._preempt_current(now)
 
-    def _preempt_current(self) -> None:
+    def _preempt_current(self, now: float) -> None:
         thread = self.current
         assert thread is not None
-        self._charge_current()
+        self._charge_current(now)
         self._cancel_slice()
         self.current = None
         thread.state = ThreadState.READY
-        thread.ready_since = self.sim.now
+        thread.ready_since = now
         self.scheduler.enqueue_preempted(thread)
 
-    def _charge_current(self) -> None:
+    def _charge_current(self, now: float) -> None:
         """Account for the partial slice the current thread has run.
 
         This is the per-quantum bookkeeping hot spot: one call per slice
@@ -170,7 +171,6 @@ class CPU:
         """
         thread = self.current
         assert thread is not None
-        now = self.sim.now
         start = self._slice_start
         elapsed = now - start
         if elapsed <= 0:
@@ -233,13 +233,14 @@ class CPU:
             )
         burst = thread.current_burst
         assert burst is not None
+        now = self.sim.now
         if burst.first_run_at is None:
-            burst.first_run_at = self.sim.now
+            burst.first_run_at = now
         thread.state = ThreadState.RUNNING
         thread.ready_since = None
         thread.dispatch_count += 1
         self.current = thread
-        self._slice_start = self.sim.now
+        self._slice_start = now
         obs = self._obs
         if thread is not self._last_thread:
             self._slice_cs = self.context_switch_ms
@@ -256,7 +257,7 @@ class CPU:
                         )
                     counter.value += 1
                     self._switch_channel(
-                        self.sim.now,
+                        now,
                         self.name,
                         self._last_thread.name,
                         thread.name,
@@ -295,32 +296,33 @@ class CPU:
     def _end_slice(self) -> None:
         thread = self.current
         assert thread is not None
+        now = self.sim.now
         self._slice_event = None
-        self._charge_current()
+        self._charge_current(now)
         burst = thread.current_burst
         assert burst is not None
 
         completed = not burst.is_infinite and burst.remaining <= _EPS
         callback: Optional[tuple] = None
         if completed:
-            burst.completed_at = self.sim.now
+            burst.completed_at = now
             if burst.on_complete is not None:
-                callback = (burst.on_complete, self.sim.now)
+                callback = (burst.on_complete, now)
             thread.current_burst = None
             if thread.take_next_burst() is not None:
                 # More queued work: keep running in the same quantum if any
                 # of it remains, otherwise round-robin to the back.
                 if thread.remaining_quantum <= _EPS:
-                    self._requeue_expired(thread)
+                    self._requeue_expired(thread, now)
                 else:
-                    self._continue_running(thread)
+                    self._continue_running(thread, now)
             else:
                 self.current = None
                 thread.state = ThreadState.BLOCKED
                 self.scheduler.on_block(thread)
         else:
             # Quantum expired with work remaining.
-            self._requeue_expired(thread)
+            self._requeue_expired(thread, now)
 
         # Run the completion callback with the CPU in a consistent state; it
         # may submit new bursts or wake other threads.
@@ -329,19 +331,19 @@ class CPU:
             on_complete(when)
         self._try_dispatch()
 
-    def _continue_running(self, thread: Thread) -> None:
+    def _continue_running(self, thread: Thread, now: float) -> None:
         burst = thread.current_burst
         assert burst is not None
         if burst.first_run_at is None:
-            burst.first_run_at = self.sim.now
-        self._slice_start = self.sim.now
+            burst.first_run_at = now
+        self._slice_start = now
         # Same thread keeps running: no context-switch cost.
         self._slice_event = self.sim.schedule(
             self._slice_len(thread), self._end_slice
         )
 
-    def _requeue_expired(self, thread: Thread) -> None:
+    def _requeue_expired(self, thread: Thread, now: float) -> None:
         self.current = None
         thread.state = ThreadState.READY
-        thread.ready_since = self.sim.now
+        thread.ready_since = now
         self.scheduler.enqueue_expired(thread)

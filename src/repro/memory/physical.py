@@ -132,6 +132,32 @@ class FramePool:
         self._built.append(frame)
         return frame
 
+    def allocate_run(self, count: int) -> List[Frame]:
+        """Take *count* free frames, in the order *count* :meth:`allocate`
+        calls would return them; *count* must not exceed :attr:`free_frames`.
+        """
+        if count > self.free_frames:
+            raise MemoryError_(
+                f"cannot allocate {count} frames; only {self.free_frames} free"
+            )
+        released = self._released
+        split = len(released) - min(count, len(released))
+        frames = released[split:]
+        del released[split:]
+        frames.reverse()  # the stack pops from its top
+        for frame in frames:
+            frame.free = False
+            frame.dirty = False
+            frame.referenced = False
+        fresh = count - len(frames)
+        if fresh:
+            start = self._next
+            self._next = start + fresh
+            built = [Frame(index) for index in range(start, start + fresh)]
+            self._built += built
+            frames += built
+        return frames
+
     def release(self, frame: Frame) -> None:
         """Return *frame* to the free list."""
         if frame.pinned:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import abc
 from collections import OrderedDict, deque
-from typing import Deque, Dict, Optional
+from typing import Deque, Dict, List
 
 from ..errors import MemoryError_
 from .physical import Frame
@@ -32,6 +32,11 @@ class ReplacementPolicy(abc.ABC):
     @abc.abstractmethod
     def insert(self, frame: Frame) -> None:
         """A page was just faulted into *frame*."""
+
+    @abc.abstractmethod
+    def insert_run(self, frames: List[Frame]) -> None:
+        """Pages were just faulted into *frames*: the state one
+        :meth:`insert` per frame, in list order, would leave."""
 
     @abc.abstractmethod
     def access(self, frame: Frame) -> None:
@@ -62,6 +67,9 @@ class LRUPolicy(ReplacementPolicy):
         if frame.index in self._order:
             raise MemoryError_(f"frame {frame.index} inserted twice")
         self._order[frame.index] = frame
+
+    def insert_run(self, frames: List[Frame]) -> None:
+        _insert_keyed(self._order, frames)
 
     def access(self, frame: Frame) -> None:
         if frame.index not in self._order:
@@ -96,6 +104,12 @@ class ClockPolicy(ReplacementPolicy):
         frame.referenced = True
         self._ring.append(frame)
         self._members[frame.index] = frame
+
+    def insert_run(self, frames: List[Frame]) -> None:
+        for frame in frames:
+            frame.referenced = True
+        _insert_keyed(self._members, frames)
+        self._ring.extend(frames)
 
     def access(self, frame: Frame) -> None:
         if frame.index not in self._members:
@@ -135,6 +149,9 @@ class FIFOPolicy(ReplacementPolicy):
             raise MemoryError_(f"frame {frame.index} inserted twice")
         self._queue[frame.index] = frame
 
+    def insert_run(self, frames: List[Frame]) -> None:
+        _insert_keyed(self._queue, frames)
+
     def access(self, frame: Frame) -> None:
         if frame.index not in self._queue:
             raise MemoryError_(f"access to untracked frame {frame.index}")
@@ -150,6 +167,19 @@ class FIFOPolicy(ReplacementPolicy):
 
     def __len__(self) -> int:
         return len(self._queue)
+
+
+def _insert_keyed(tracked: Dict[int, Frame], frames: List[Frame]) -> None:
+    """Add *frames* to *tracked* under their indices, in order.
+
+    The batch form of each policy's "inserted twice" check: the map grows
+    by one entry a frame exactly when no frame was tracked already.
+    """
+    size = len(tracked)
+    for frame in frames:
+        tracked[frame.index] = frame
+    if len(tracked) != size + len(frames):
+        raise MemoryError_("frame inserted twice")
 
 
 def make_policy(name: str) -> ReplacementPolicy:

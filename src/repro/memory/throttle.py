@@ -22,6 +22,7 @@ This is the ablation substrate for ``benchmarks/test_abl_mem_throttle.py``.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional
 
 from .pagetable import AddressSpace
@@ -85,12 +86,26 @@ class ThrottledVirtualMemory(VirtualMemory):
             < self.pool.total_frames * self.pressure_threshold
         )
 
-    def _page_in(self, space: AddressSpace, vpn: int, write: bool) -> float:
-        """The shared fault path, plus the penalty for streaming faults.
+    def _free_fault_limit(self, space: AddressSpace) -> int:
+        """Batch a streamer's faults only while none of them is throttled.
 
-        Pressure is judged before the fault takes its frames.  Wrapping
-        the one fault path means :meth:`touch` and :meth:`touch_sequential`
-        are throttled alike.
+        Free memory falls by one frame a fault, and a fault is judged
+        under pressure when the frames free before it number fewer than
+        ``total_frames * pressure_threshold``, that is fewer than its
+        ceiling.  Faults from there on go one by one to :meth:`_page_in`.
+        """
+        limit = super()._free_fault_limit(space)
+        if limit and not space.interactive:
+            floor = math.ceil(self.pool.total_frames * self.pressure_threshold)
+            limit = min(limit, max(0, limit - floor + 1))
+        return limit
+
+    def _page_in(self, space: AddressSpace, vpn: int, write: bool) -> float:
+        """The page-by-page fault path, plus the penalty for streaming faults.
+
+        Pressure is judged before the fault takes its frames.  Batched
+        faults are never under pressure (:meth:`_free_fault_limit`), so
+        :meth:`touch` and :meth:`touch_sequential` are throttled alike.
         """
         pressured = self.under_pressure
         latency = super()._page_in(space, vpn, write)

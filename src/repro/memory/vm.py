@@ -124,7 +124,7 @@ class VirtualMemory:
             return AccessResult(self.HIT_LATENCY_MS, False, 0, 0)
         evictions = self.total_evictions
         pages_read = self.disk.pages_read
-        latency = self._page_in(space, vpn, write)
+        latency = self._touch_run(space, vpn, 1, write)
         return AccessResult(
             latency,
             True,
@@ -137,12 +137,32 @@ class VirtualMemory:
     ) -> float:
         """Touch ``[start_vpn, start_vpn + npages)`` in order; total latency.
 
-        Batch-aware: runs of hits are accounted inline — no per-page
-        :class:`AccessResult` allocation, one counter update per run —
-        and each miss goes straight to :meth:`_page_in`.  Totals
-        (``space.hits``, ``total_hits``, the ``mem.hits`` counter) and the
-        summed latency end identical to *npages* individual :meth:`touch`
-        calls.
+        Totals (``space.hits``, ``total_hits``, the ``mem.hits`` counter)
+        and the summed latency end identical to *npages* individual
+        :meth:`touch` calls.
+        """
+        return self._touch_run(space, start_vpn, npages, write)
+
+    def _count_hits(self, n: int) -> None:
+        counter = self._hits_counter
+        if counter is None:
+            counter = self._hits_counter = self._obs.metrics.counter("mem.hits")
+        counter.value += n
+
+    # -- internals --------------------------------------------------------------
+
+    def _touch_run(
+        self, space: AddressSpace, start_vpn: int, npages: int, write: bool
+    ) -> float:
+        """The access loop behind :meth:`touch` and :meth:`touch_sequential`.
+
+        Runs of hits are accounted inline: no per-page
+        :class:`AccessResult`, one counter update per call.  A maximal
+        run of consecutive misses that fits in free frames is faulted as
+        one batch by :meth:`_fault_free_run`; any other miss (it needs an
+        eviction, a read cluster, or a throttling decision) goes to
+        :meth:`_page_in`.  Both end in the state of one :meth:`_page_in`
+        per missing page.
         """
         total = 0.0
         hit_run = 0
@@ -151,9 +171,10 @@ class VirtualMemory:
         # directly instead of paying AddressSpace.lookup's range check.
         table = space._table
         access = self.policy.access
-        page_in = self._page_in
         num_pages = space.num_pages
-        for vpn in range(start_vpn, start_vpn + npages):
+        vpn = start_vpn
+        stop = start_vpn + npages
+        while vpn < stop:
             v = vpn % num_pages
             frame = table.get(v)
             if frame is not None:
@@ -162,8 +183,21 @@ class VirtualMemory:
                     frame.dirty = True
                 hit_run += 1
                 total += hit_latency
-            else:
-                total += page_in(space, v, write)
+                vpn += 1
+                continue
+            limit = self._free_fault_limit(space)
+            if limit == 0:
+                total += self._page_in(space, v, write)
+                vpn += 1
+                continue
+            # The run stops at the first resident page, at the end of the
+            # request, where the address space wraps, or at the limit.
+            run_stop = min(v + limit, v + stop - vpn, num_pages)
+            end = v + 1
+            while end < run_stop and end not in table:
+                end += 1
+            total = self._fault_free_run(space, v, end - v, write, total)
+            vpn += end - v
         if hit_run:
             space.hits += hit_run
             self.total_hits += hit_run
@@ -171,26 +205,72 @@ class VirtualMemory:
                 self._count_hits(hit_run)
         return total
 
-    def _count_hits(self, n: int) -> None:
-        counter = self._hits_counter
-        if counter is None:
-            counter = self._hits_counter = self._obs.metrics.counter("mem.hits")
-        counter.value += n
+    def _free_fault_limit(self, space: AddressSpace) -> int:
+        """How many faults by *space* may take free frames as one batch.
 
-    def resident_fraction(self, space: AddressSpace) -> float:
-        """Fraction of *space*'s pages currently in physical memory."""
-        return space.resident_pages / space.num_pages
+        Zero sends the next fault down :meth:`_page_in`: a read cluster
+        is sized per fault, and no free frame means an eviction.
+        """
+        if self.read_cluster > 1:
+            return 0
+        return self.pool.free_frames
 
-    # -- internals --------------------------------------------------------------
+    def _fault_free_run(
+        self, space: AddressSpace, vpn: int, count: int, write: bool, total: float
+    ) -> float:
+        """Fault the *count* missing pages from *vpn* into free frames.
+
+        The batch form of *count* :meth:`_page_in` calls with one-page
+        clusters and no eviction: the same frames in the same order, the
+        same policy order, the same disk draws, and each page's latency
+        added to *total* (returned) and observed one at a time.  A
+        latency is ``0.0 + service``, which is ``service`` itself: a
+        service time is never ``-0.0``.
+        """
+        space.faults += count
+        self.total_faults += count
+        obs = self._obs
+        if obs is not None:
+            counter = self._faults_counter
+            if counter is None:
+                counter = self._faults_counter = obs.metrics.counter("mem.faults")
+            counter.value += count
+        frames = self.pool.allocate_run(count)
+        table = space._table
+        # One int object serves as both the frame's vpn and its table key;
+        # a second copy would cost memory for every resident page.
+        for fault_vpn, frame in zip(range(vpn, vpn + count), frames):
+            frame.owner = space
+            frame.vpn = fault_vpn
+            table[fault_vpn] = frame
+        if write:
+            for frame in frames:
+                frame.dirty = True
+        self.policy.insert_run(frames)
+        services = self.disk.single_reads_ms(count)
+        if obs is None:
+            for service in services:
+                total += service
+            return total
+        hist = self._fault_latency_hist
+        if hist is None:
+            hist = self._fault_latency_hist = obs.metrics.histogram(
+                "mem.fault_latency_ms"
+            )
+        observe = hist.observe
+        for service in services:
+            total += service
+            observe(service)
+        return total
 
     def _page_in(self, space: AddressSpace, vpn: int, write: bool) -> float:
         """Fault non-resident *vpn* (plus its read cluster) in; the latency.
 
-        The one fault path: :meth:`touch` and :meth:`touch_sequential`
-        both land here, and subclasses (throttling) wrap it.  *vpn* must
-        be in range and not resident.  Up to ``read_cluster - 1`` following
-        non-resident pages come in with it in one disk request; memory
-        pressure may truncate the cluster, but never the faulting page.
+        The page-by-page fault path of :meth:`_touch_run`; subclasses
+        (throttling) wrap it.  *vpn* must be in range and not resident.
+        Up to ``read_cluster - 1`` following non-resident pages come in
+        with it in one disk request; memory pressure may truncate the
+        cluster, but never the faulting page.
         """
         space.faults += 1
         self.total_faults += 1

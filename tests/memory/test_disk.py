@@ -60,3 +60,12 @@ def test_deterministic_for_same_seed():
     a = [make_disk(seed=9).read_ms() for _ in range(5)]
     b = [make_disk(seed=9).read_ms() for _ in range(5)]
     assert a == b
+
+
+def test_single_reads_match_one_page_reads():
+    batched, single = make_disk(seed=4), make_disk(seed=4)
+    assert list(batched.single_reads_ms(6)) == [single.read_ms(1) for _ in range(6)]
+    for disk in (batched, single):
+        assert (disk.reads, disk.pages_read) == (6, 6)
+    assert batched.busy_ms == single.busy_ms
+    assert batched.rng.getstate() == single.rng.getstate()

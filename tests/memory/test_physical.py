@@ -111,6 +111,7 @@ class EagerPool:
 pool_programs = st.lists(
     st.one_of(
         st.tuples(st.just("allocate"), st.integers(1, 6)),
+        st.tuples(st.just("allocate_run"), st.integers(0, 8)),
         st.tuples(st.just("release"), st.integers(0, 50)),
         st.tuples(st.just("pin"), st.integers(0, kb(24))),
         st.tuples(st.just("double_free"), st.integers(0, 50)),
@@ -148,6 +149,17 @@ def test_lazy_pool_matches_eager_reference(total_frames, program, build_at):
                 if frame in released:
                     released.remove(frame)
                 held.append(frame)
+        elif op == "allocate_run":
+            if arg > len(reference.free):
+                with pytest.raises(MemoryError_):
+                    pool.allocate_run(arg)
+            else:
+                run = pool.allocate_run(arg)
+                expected = [reference.allocate() for _ in range(arg)]
+                assert [f.index for f in run] == expected
+                assert not any(f.free or f.dirty or f.referenced for f in run)
+                released = [f for f in released if f not in run]
+                held += run
         elif op == "release" and held:
             frame = held.pop(arg % len(held))
             pool.release(frame)

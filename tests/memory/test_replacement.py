@@ -109,6 +109,31 @@ class TestFIFO:
             FIFOPolicy().select_victim()
 
 
+@pytest.mark.parametrize("name", ["lru", "clock", "fifo"])
+def test_insert_run_matches_one_insert_per_frame(name):
+    batched, single = make_policy(name), make_policy(name)
+    run = frames(5)
+    batched.insert_run(run)
+    for frame in run:
+        single.insert(frame)
+    batched.access(run[1])
+    single.access(run[1])
+    assert [batched.select_victim() for _ in run] == [
+        single.select_victim() for _ in run
+    ]
+
+
+@pytest.mark.parametrize("name", ["lru", "clock", "fifo"])
+def test_insert_run_rejects_tracked_frame(name):
+    policy = make_policy(name)
+    a, b = frames(2)
+    policy.insert(a)
+    with pytest.raises(MemoryError_, match="inserted twice"):
+        policy.insert_run([b, a])
+    with pytest.raises(MemoryError_, match="inserted twice"):
+        make_policy(name).insert_run([b, b])
+
+
 def test_make_policy():
     assert isinstance(make_policy("lru"), LRUPolicy)
     assert isinstance(make_policy("clock"), ClockPolicy)

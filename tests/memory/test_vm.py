@@ -133,13 +133,6 @@ def test_destroy_process_frees_frames():
     assert p not in vm.spaces
 
 
-def test_resident_fraction():
-    vm, __, __ = make_vm()
-    p = vm.create_process("p", kb(16))
-    vm.touch_sequential(p, 0, 2)
-    assert vm.resident_fraction(p) == 0.5
-
-
 def test_bad_cluster_rejected():
     pool = FramePool(kb(64))
     disk = PagingDisk(random.Random(0))

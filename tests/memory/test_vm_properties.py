@@ -3,10 +3,12 @@
 A dict-based reference model replays the same touch sequence and the two
 must agree exactly on: which pages are resident, per-space fault counts,
 and the eviction total.  Also checks global conservation invariants under
-arbitrary interleavings of touches across processes, and that the batched
-``touch_sequential`` is indistinguishable from one ``touch`` per page.
+arbitrary interleavings of touches across processes, and that
+``touch_sequential``, one ``touch`` per page and a frozen copy of the
+page-by-page fault path all end identical.
 """
 
+import contextlib
 import random
 from collections import OrderedDict
 
@@ -14,7 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import MemoryError_
 from repro.memory import (
+    AccessResult,
     FramePool,
     PagingDisk,
     ThrottledVirtualMemory,
@@ -133,16 +137,141 @@ def test_hit_latency_always_below_fault_latency(touches):
             assert result.latency_ms < 0.01  # memory hierarchy hit
 
 
+class _ReferenceFaultPath:
+    """The page-by-page fault path as it stood before run batching.
+
+    A frozen copy of ``touch``, ``touch_sequential`` and ``_page_in``
+    (and the disk's read formula) that faults every missing page on its
+    own.  The batched VM must end in exactly its state, so a regression
+    that ``touch`` and ``touch_sequential`` share still shows.
+    """
+
+    def touch(self, space, vpn, *, write=False):
+        frame = space.lookup(vpn)
+        if frame is not None:
+            self.policy.access(frame)
+            if write:
+                frame.dirty = True
+            space.hits += 1
+            self.total_hits += 1
+            if self._obs is not None:
+                self._count_hits(1)
+            return AccessResult(self.HIT_LATENCY_MS, False, 0, 0)
+        evictions = self.total_evictions
+        pages_read = self.disk.pages_read
+        latency = self._page_in(space, vpn, write)
+        return AccessResult(
+            latency,
+            True,
+            self.total_evictions - evictions,
+            self.disk.pages_read - pages_read,
+        )
+
+    def touch_sequential(self, space, start_vpn, npages, *, write=False):
+        total = 0.0
+        hit_run = 0
+        table = space._table
+        for vpn in range(start_vpn, start_vpn + npages):
+            v = vpn % space.num_pages
+            frame = table.get(v)
+            if frame is not None:
+                self.policy.access(frame)
+                if write:
+                    frame.dirty = True
+                hit_run += 1
+                total += self.HIT_LATENCY_MS
+            else:
+                total += self._page_in(space, v, write)
+        if hit_run:
+            space.hits += hit_run
+            self.total_hits += hit_run
+            if self._obs is not None:
+                self._count_hits(hit_run)
+        return total
+
+    def _page_in(self, space, vpn, write):
+        space.faults += 1
+        self.total_faults += 1
+        obs = self._obs
+        if obs is not None:
+            obs.metrics.counter("mem.faults").value += 1
+        table = space._table
+        end = vpn + 1
+        if self.read_cluster > 1:
+            stop = min(vpn + self.read_cluster, space.num_pages)
+            while end < stop and end not in table:
+                end += 1
+        latency = 0.0
+        for fault_vpn in range(vpn, end):
+            frame = self.pool.allocate()
+            if frame is None:
+                victim = self._select_victim(space)
+                if victim is None:
+                    if fault_vpn == vpn:
+                        raise MemoryError_("out of memory")
+                    end = fault_vpn
+                    break
+                latency += self._evict(victim)
+                frame = self.pool.allocate()
+            frame.owner = space
+            frame.vpn = fault_vpn
+            table[fault_vpn] = frame
+            if write and fault_vpn == vpn:
+                frame.dirty = True
+            self.policy.insert(frame)
+        latency += reference_read_ms(self.disk, end - vpn)
+        if obs is not None:
+            obs.metrics.histogram("mem.fault_latency_ms").observe(latency)
+        return latency
+
+
+def reference_read_ms(disk, pages):
+    """``PagingDisk.read_ms`` as two ``random.uniform`` draws, seek first."""
+    params = disk.params
+    seek = disk.rng.uniform(params.seek_lo_ms, params.seek_hi_ms)
+    rotation = disk.rng.uniform(0.0, params.rotation_ms)
+    service = seek + rotation + params.transfer_ms_per_page * pages
+    disk.reads += 1
+    disk.pages_read += pages
+    disk.busy_ms += service
+    return service
+
+
+class ReferenceVM(_ReferenceFaultPath, VirtualMemory):
+    pass
+
+
+class ReferenceThrottledVM(_ReferenceFaultPath, ThrottledVirtualMemory):
+    def _page_in(self, space, vpn, write):
+        pressured = self.under_pressure
+        latency = _ReferenceFaultPath._page_in(self, space, vpn, write)
+        if pressured and not space.interactive:
+            self.throttled_faults += 1
+            latency += self.throttle_ms
+        return latency
+
+
+#: Throttling threshold of the throttled twins: high enough that a
+#: 16-frame pool crosses it partway through a run of misses.
+PRESSURE = 0.25
+
+
 class Twin:
     """A VM over three spaces (p0 interactive) that logs its victims."""
 
-    def __init__(self, policy, read_cluster, frames, throttled):
-        cls = ThrottledVirtualMemory if throttled else VirtualMemory
+    def __init__(self, policy, read_cluster, frames, throttled, reference=False):
+        if throttled:
+            cls = ReferenceThrottledVM if reference else ThrottledVirtualMemory
+            kwargs = {"pressure_threshold": PRESSURE}
+        else:
+            cls = ReferenceVM if reference else VirtualMemory
+            kwargs = {}
         self.vm = cls(
             FramePool(frames * 4096),
             PagingDisk(random.Random(7)),
             make_policy(policy),
             read_cluster=read_cluster,
+            **kwargs,
         )
         self.spaces = [
             self.vm.create_process(
@@ -161,19 +290,32 @@ class Twin:
 
     def state(self):
         vm = self.vm
+        disk = vm.disk
         return {
-            "rng": vm.disk.rng.getstate(),
-            "busy_ms": vm.disk.busy_ms,
+            "rng": disk.rng.getstate(),
+            "disk": (
+                disk.busy_ms,
+                disk.reads,
+                disk.pages_read,
+                disk.writes,
+                disk.pages_written,
+            ),
             "totals": (
                 vm.total_hits,
                 vm.total_faults,
                 vm.total_evictions,
                 vm.total_writebacks,
                 getattr(vm, "throttled_faults", None),
+                getattr(vm, "protected_skips", None),
             ),
             "spaces": [
                 (s.hits, s.faults, s.evicted_pages, s.resident_vpns())
                 for s in self.spaces
+            ],
+            "frames": [
+                (s.lookup(v).index, s.lookup(v).dirty)
+                for s in self.spaces
+                for v in s.resident_vpns()
             ],
             "victims": self.victims,
         }
@@ -199,16 +341,28 @@ def run_per_page(twin, batches):
     return totals
 
 
-def assert_twins_agree(batches, policy, read_cluster, frames, throttled):
-    with observe() as obs_seq:
-        seq = Twin(policy, read_cluster, frames, throttled)
-        seq_totals = run_sequential(seq, batches)
-    with observe() as obs_one:
-        one = Twin(policy, read_cluster, frames, throttled)
-        one_totals = run_per_page(one, batches)
-    assert seq_totals == one_totals  # exact: same additions, same order
-    assert seq.state() == one.state()
-    assert obs_seq.metrics.snapshot() == obs_one.metrics.snapshot()
+def run_twin(batches, run, observed, *args, **kwargs):
+    """Build a twin, drive it with *run*; its totals, state and metrics."""
+    with observe() if observed else contextlib.nullcontext() as obs:
+        twin = Twin(*args, **kwargs)
+        totals = run(twin, batches)
+    snapshot = obs.metrics.snapshot() if observed else None
+    return twin, (totals, twin.state(), snapshot)
+
+
+def assert_twins_agree(
+    batches, policy, read_cluster, frames, throttled, observed=True
+):
+    """``touch_sequential`` and per-page ``touch``, batched and in the
+    frozen page-by-page reference, all end identical: exact latencies
+    (same additions, same order), VM and disk state, and metrics."""
+    config = (policy, read_cluster, frames, throttled)
+    seq, seq_result = run_twin(batches, run_sequential, observed, *config)
+    __, one_result = run_twin(batches, run_per_page, observed, *config)
+    for run in (run_sequential, run_per_page):
+        __, ref_result = run_twin(batches, run, observed, *config, reference=True)
+        assert seq_result == ref_result
+        assert one_result == ref_result
     return seq
 
 
@@ -223,19 +377,32 @@ batches = st.lists(
 )
 
 
-@settings(max_examples=60)
+@settings(max_examples=80)
 @given(
     batches,
     st.sampled_from(["lru", "clock", "fifo"]),
     st.sampled_from([1, 4]),
-    # 4 frames: constant eviction; 40: every page of all three fits.
-    st.sampled_from([4, 40]),
+    # 4 frames: constant eviction; 16: runs cross from free frames into
+    # eviction (and, throttled, into pressure); 40: every page fits.
+    st.sampled_from([4, 16, 40]),
+    st.booleans(),
     st.booleans(),
 )
 def test_touch_sequential_matches_per_page_touch(
-    batches, policy, read_cluster, frames, throttled
+    batches, policy, read_cluster, frames, throttled, observed
 ):
-    assert_twins_agree(batches, policy, read_cluster, frames, throttled)
+    assert_twins_agree(batches, policy, read_cluster, frames, throttled, observed)
+
+
+@pytest.mark.parametrize("policy", ["lru", "clock", "fifo"])
+@pytest.mark.parametrize("throttled", [False, True])
+def test_run_crossing_into_eviction_matches_reference(policy, throttled):
+    # p1 fills 10 of 16 free frames; p2's 20-page run takes the last six
+    # free frames as a batch (fewer when throttled), then evicts.
+    program = [(1, 0, SPACE_PAGES, True), (2, 0, 2 * SPACE_PAGES, False)]
+    seq = assert_twins_agree(program, policy, 1, 16, throttled)
+    assert seq.vm.total_evictions > 0
+    assert seq.vm.total_writebacks > 0
 
 
 @pytest.mark.parametrize("read_cluster", [1, 4])
