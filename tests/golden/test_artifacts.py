@@ -29,7 +29,9 @@ MANIFEST = os.path.join(
 
 SEED = "1"
 
-#: Faulted invocations pinned on top of the clean registry sweep.
+#: Faulted invocations pinned on top of the clean registry sweep: the
+#: chaos sweep's own naming, the shared ``ping+faults[...]`` sweep, and a
+#: fleet sweep whose points take the fault plan.
 FAULTED = {
     "chaos": [
         "--faults",
@@ -37,6 +39,8 @@ FAULTED = {
         "--fault-seed",
         "7",
     ],
+    "fig9": ["--faults", "loss=0.02", "--fault-seed", "3"],
+    "fleet_placement": ["--faults", "loss=0.02", "--fault-seed", "3"],
 }
 
 
