@@ -57,10 +57,6 @@ class LostTimeMonitor:
         """Durations (ms) of the busy events in ``[t0, t1)``."""
         return [end - start for start, end in self.busy_events(t0, t1)]
 
-    def total_lost_time(self, t0: float, t1: float) -> float:
-        """Total busy ms in the window — the aggregate compulsory load."""
-        return sum(self.event_durations(t0, t1))
-
     def attribution(self, t0: float, t1: float) -> dict:
         """Busy ms per thread name in ``[t0, t1)`` — whose activity it was.
 

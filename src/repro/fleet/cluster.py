@@ -35,7 +35,7 @@ pure function of ``(config, seed)``, byte-for-byte.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
 from ..core.server import ServerConfig, ThinClientServer, UserSession
@@ -100,10 +100,6 @@ class FleetConfig:
             raise FleetError("a fleet needs at least one server")
         if self.backbone_mbps <= 0:
             raise FleetError("backbone bandwidth must be positive")
-
-    def with_placement(self, name: str) -> "FleetConfig":
-        """This config under a different placement policy."""
-        return replace(self, placement=name)
 
 
 class ServerState:

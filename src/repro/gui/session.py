@@ -12,7 +12,7 @@ and for exercising the connection machinery in integration tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 from ..errors import ProtocolError
 
@@ -41,13 +41,6 @@ class SessionSetup:
     def total_bytes(self) -> int:
         """Total setup bytes exchanged, both directions."""
         return sum(m.payload_bytes for m in self.messages)
-
-    def bytes_by_direction(self) -> Dict[str, int]:
-        """Setup bytes split into to-server and to-client totals."""
-        out = {TO_SERVER: 0, TO_CLIENT: 0}
-        for m in self.messages:
-            out[m.direction] += m.payload_bytes
-        return out
 
 
 #: TSE/RDP session establishment: connection sequence, capability

@@ -290,9 +290,14 @@ class VirtualMemory:
                 end += 1
 
         latency = 0.0
+        pool = self.pool
+        # Only the free frames counted here can be allocated without an
+        # eviction, so no allocate call is made just to learn it fails.
+        free = pool.free_frames
         for fault_vpn in range(vpn, end):
-            frame = self.pool.allocate()
-            if frame is None:
+            if free:
+                free -= 1
+            else:
                 victim = self._select_victim(space)
                 if victim is None:
                     if fault_vpn == vpn:
@@ -301,8 +306,9 @@ class VirtualMemory:
                         )
                     end = fault_vpn  # cluster truncated by memory pressure
                     break
+                # The victim's frame tops the free list: allocate takes it.
                 latency += self._evict(victim)
-                frame = self.pool.allocate()
+            frame = pool.allocate()
             # AddressSpace.map without its checks: fault_vpn is in range
             # and not resident, by the caller's contract and the scan above.
             frame.owner = space

@@ -42,11 +42,6 @@ class Packet:
         self.enqueued_at: Optional[float] = None
         self.delivered_at: Optional[float] = None
 
-    @property
-    def overhead_bytes(self) -> int:
-        """Framing bytes (wire size minus payload)."""
-        return self.wire_bytes - self.payload_bytes
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Packet {self.wire_bytes}B {self.channel}"

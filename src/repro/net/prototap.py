@@ -130,11 +130,6 @@ class ProtoTap:
 
     # -- reduction -----------------------------------------------------------
 
-    @property
-    def message_count(self) -> int:
-        """Total messages observed so far."""
-        return sum(len(entries) for __, entries in self._groups)
-
     def _bytes_for(self, channel: str, stack: HeaderStack) -> int:
         total = 0
         for group_channel, entries in self._groups:

@@ -14,8 +14,7 @@ This module gives the repo that vocabulary:
   consumption and burn rate.  **Burn rate** is the SRE quantity: observed
   violation fraction divided by the allowed fraction, so burn 1.0 means
   "exactly spending the budget", burn 10 means "ten times over".
-* :class:`SloReport` — one frozen row of the accounting, rendered by
-  :func:`repro.core.report.format_slo_summary`.
+* :class:`SloReport` — one frozen row of the accounting.
 
 When the tracker runs inside an observation (``with observe():`` /
 ``repro trace``), it publishes ``slo.<operation>.samples`` /

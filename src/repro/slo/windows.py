@@ -109,11 +109,6 @@ class WindowedPercentiles:
         """Indices of the non-empty windows, in time order."""
         return sorted(self._windows)
 
-    def window_count(self, index: int) -> int:
-        """Samples in window *index* (0 when the window never materialized)."""
-        window = self._windows.get(index)
-        return window.count if window is not None else 0
-
     def _merged(
         self, indices: Optional[Sequence[int]]
     ) -> Tuple[List[int], int, float, float]:

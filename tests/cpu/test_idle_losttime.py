@@ -75,7 +75,6 @@ class TestLostTime:
         cpu.busy_trace.record(20.0, 22.0)  # far -> separate event
         monitor = LostTimeMonitor(cpu, merge_gap_ms=1.0)
         assert monitor.event_durations(0.0, 100.0) == [8.0, 2.0]
-        assert monitor.total_lost_time(0.0, 100.0) == 10.0
 
     def test_monitor_clips_to_window(self):
         sim = Simulator()

@@ -29,13 +29,6 @@ class TestConfig:
         with pytest.raises(FleetError):
             FleetConfig(backbone_mbps=0.0)
 
-    def test_with_placement_swaps_only_the_policy(self):
-        base = FleetConfig(num_servers=3)
-        other = base.with_placement("least_loaded")
-        assert other.placement == "least_loaded"
-        assert other.num_servers == 3
-        assert base.placement == "round_robin"
-
     def test_capacity_defaults_to_the_planner(self):
         from repro.fleet import planned_session_capacity
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ProtocolError
-from repro.gui import TO_CLIENT, TO_SERVER, TSE_SETUP, X_SETUP, session_setup
+from repro.gui import TSE_SETUP, X_SETUP, session_setup
 
 
 def test_tse_setup_total_matches_paper():
@@ -14,14 +14,6 @@ def test_tse_setup_total_matches_paper():
 def test_x_setup_total_matches_paper():
     """Paper: Linux/X session setup cost 16,312 bytes."""
     assert X_SETUP.total_bytes == 16_312
-
-
-def test_setup_has_both_directions():
-    for setup in (TSE_SETUP, X_SETUP):
-        by_dir = setup.bytes_by_direction()
-        assert by_dir[TO_SERVER] > 0
-        assert by_dir[TO_CLIENT] > 0
-        assert by_dir[TO_SERVER] + by_dir[TO_CLIENT] == setup.total_bytes
 
 
 def test_lookup():

@@ -12,8 +12,6 @@ def test_packet_validation():
         Packet(0)
     with pytest.raises(NetworkError):
         Packet(10, payload_bytes=11)
-    p = Packet(100, payload_bytes=60)
-    assert p.overhead_bytes == 40
 
 
 def test_link_validation():

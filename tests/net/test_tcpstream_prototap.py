@@ -100,7 +100,7 @@ class TestProtoTap:
         conn.send_message(DISPLAY_CHANNEL, 20)
         tap = ProtoTap("x")
         tap.observe_connection(conn)
-        assert tap.message_count == 2
+        assert tap.trace().total_messages == 2
 
     def test_vip_row(self):
         tap = ProtoTap("lbx")
