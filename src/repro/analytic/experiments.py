@@ -26,11 +26,10 @@ paths — which is what makes them a standing oracle rather than a demo.
 
 from __future__ import annotations
 
-from functools import partial
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import NamedTuple
 
 from ..core.registry import ExperimentSpec
-from ..core.report import Row, format_overlay, sweep, write_rows
+from ..core.report import Column, Overlay
 from ..sim.rng import derive_seed
 
 #: Offered-utilization grid swept by ``analytic_link``.
@@ -68,18 +67,6 @@ class ClosedPoint(NamedTuple):
     predicted_response_ms: float
     simulated_response_ms: float
     completions: int
-
-
-def _overlay(
-    rows: Sequence[Row], name: str, field: str
-) -> Tuple[str, List[float], List[float]]:
-    """One :func:`format_overlay` series: ``predicted_<field>`` vs
-    ``simulated_<field>`` across *rows*."""
-    return (
-        name,
-        [row[f"predicted_{field}"] for row in rows],
-        [row[f"simulated_{field}"] for row in rows],
-    )
 
 
 def _analytic_link_point(rho: float, *, seed: int) -> LinkPoint:
@@ -123,73 +110,30 @@ def _analytic_closed_point(sessions: int, *, seed: int) -> ClosedPoint:
     )
 
 
-def _analytic_link(ctx) -> None:
-    """Overlay P–K predictions on the simulated link across utilization."""
-    rows = sweep(
-        ctx,
-        "analytic_link" + ctx.fault_suffix,
-        partial(_analytic_link_point, seed=ctx.seed),
-        list(LINK_RHO_LEVELS),
-        ("rho",),
-        LinkPoint,
-    )
-    ctx.out.write(
-        format_overlay(
-            "rho",
-            [f"{row['rho']:.1f}" for row in rows],
-            [
-                _overlay(rows, "delay_ms", "delay_ms"),
-                _overlay(rows, "in_system", "in_system"),
-            ],
-            title=(
-                "analytic_link: one-way 64B probe delay on the shared "
-                "10 Mbps link — M/G/1 (P-K) vs simulation"
-            ),
-        )
-        + "\n"
-    )
-    write_rows(ctx, "analytic_link.csv", rows)
-
-
-def _analytic_closed(ctx) -> None:
-    """Overlay exact MVA on the simulated closed loop across populations."""
-    rows = sweep(
-        ctx,
-        "analytic_closed" + ctx.fault_suffix,
-        partial(_analytic_closed_point, seed=ctx.seed),
-        list(CLOSED_SESSION_COUNTS),
-        ("sessions",),
-        ClosedPoint,
-    )
-    ctx.out.write(
-        format_overlay(
-            "sessions",
-            [row["sessions"] for row in rows],
-            [
-                _overlay(rows, "X (1/ms)", "throughput"),
-                _overlay(rows, "R (ms)", "response_ms"),
-            ],
-            title=(
-                "analytic_closed: N think/interact sessions on one server "
-                f"(Z={CLOSED_THINK_MS:.0f} ms, D={CLOSED_SERVICE_MS:.0f} ms, "
-                f"knee N*={(CLOSED_THINK_MS + CLOSED_SERVICE_MS) / CLOSED_SERVICE_MS:.0f}) "
-                "— exact MVA vs simulation"
-            ),
-        )
-        + "\n"
-    )
-    write_rows(ctx, "analytic_closed.csv", rows)
-
-
 #: This module's experiments, in ``run all`` order; ``repro.cli``
 #: registers them after the fleet group.
 SPECS = (
     ExperimentSpec(
-        "analytic_link", "M/G/1 vs simulated shared-link probe delay across rho",
-        "analytic", _analytic_link,
+        "analytic_link", "M/G/1 vs simulated shared-link probe delay across rho", "analytic",
+        point=_analytic_link_point, grid=LINK_RHO_LEVELS, keys=("rho",), record=LinkPoint,
+        tables=[Overlay(
+            "analytic_link: one-way 64B probe delay on the shared "
+            "10 Mbps link — M/G/1 (P-K) vs simulation",
+            Column("rho", "rho", "{:.1f}"),
+            [("delay_ms", "delay_ms"), ("in_system", "in_system")],
+        )],
     ),
     ExperimentSpec(
-        "analytic_closed", "Exact MVA vs simulated closed-loop sessions across N",
-        "analytic", _analytic_closed,
+        "analytic_closed", "Exact MVA vs simulated closed-loop sessions across N", "analytic",
+        point=_analytic_closed_point, grid=CLOSED_SESSION_COUNTS, keys=("sessions",),
+        record=ClosedPoint,
+        tables=[Overlay(
+            "analytic_closed: N think/interact sessions on one server "
+            f"(Z={CLOSED_THINK_MS:.0f} ms, D={CLOSED_SERVICE_MS:.0f} ms, "
+            f"knee N*={(CLOSED_THINK_MS + CLOSED_SERVICE_MS) / CLOSED_SERVICE_MS:.0f}) "
+            "— exact MVA vs simulation",
+            Column("sessions", "sessions"),
+            [("X (1/ms)", "throughput"), ("R (ms)", "response_ms")],
+        )],
     ),
 )

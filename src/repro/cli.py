@@ -10,13 +10,13 @@ Regenerate any of the paper's tables and figures without writing code::
 Each experiment prints the same rows/series its benchmark emits; ``--csv``
 additionally writes machine-readable series next to the text output.
 
-Experiments register through :mod:`repro.core.registry` — each paper
-runner below carries an ``@experiment(...)`` decorator, and the fleet,
-analytic, SLO and scale modules each export a ``SPECS`` tuple that this
-module registers after them, in that fixed sequence.  Those modules never
-import the CLI, so the registry order is the same whichever module a
-process imports first.  ``list`` renders one table per registry group;
-``run all`` executes the registry in registration order, which keeps the
+Experiments are declared as data, :class:`~repro.core.registry.ExperimentSpec`
+values that :func:`repro.core.report.run_spec` runs, and registered through
+:mod:`repro.core.registry`: this module's ``PAPER_SPECS``, then the
+``SPECS`` tuples of the fleet, analytic, SLO and scale modules, in that
+fixed sequence.  Those modules never import the CLI, so the registry order
+is the same whichever module a process imports first.  ``list`` renders
+one table per registry group; ``run all`` executes the registry in registration order, which keeps the
 paper experiments in their historical sequence (goldens and cache keys
 are unchanged) with later groups appended.
 
@@ -56,21 +56,18 @@ from functools import partial
 from typing import List, NamedTuple, Optional, TextIO, Tuple
 
 from .analytic import experiments as _analytic_experiments
-from .core.registry import REGISTRY, experiment, groups, register
+from .core.registry import REGISTRY, ExperimentSpec, groups, register
 from .core.report import (
     Column,
     Row,
-    format_cells,
-    format_columns,
+    Table,
     format_metrics_summary,
     format_series,
     format_table,
     sparkline,
-    sweep,
-    write_csv,
     write_rows,
-    write_series,
 )
+from .cpu import OS_NAMES
 from .errors import ReproError
 from .exec import RunContext
 from .fleet import experiments as _fleet_experiments
@@ -260,83 +257,24 @@ def _tab_proto_point(protocol: str, *, seed: int) -> ProtocolPoint:
     )
 
 
-# --- experiment runners ------------------------------------------------------
+# --- the paper set ------------------------------------------------------------
 #
-# Definition order below is registration order, which is ``run all`` order:
-# the paper's figures, then chaos, then the tables — the exact sequence the
+# Sequence is registration order, which is ``run all`` order: the paper's
+# figures, then chaos, then the tables — the exact sequence the
 # pre-registry CLI hard-coded.  Keep it that way; goldens and cache keys
-# depend on it.
+# depend on it.  These sweeps predate the fault suffix: each keeps its
+# bare experiment name, except the faulted ping and chaos sweeps.
+
+#: Figure 3's scheduler queue lengths per system, in output order.
+FIG3_QUEUES = {
+    "nt_tse": [0, 5, 10, 15],
+    "linux": [0, 5, 10, 15, 25, 35, 50],
+}
 
 
-@experiment("fig1", title="Idle-state CPU activity traces")
-def _fig1(ctx: RunContext) -> None:
-    from .cpu import OS_NAMES
-
-    rows = sweep(
-        ctx,
-        "fig1",
-        partial(_fig1_point, seed=ctx.seed),
-        list(OS_NAMES),
-        ("system",),
-        IdleTracePoint,
-    )
-    columns = [
-        Column("system", "system"),
-        Column("avg idle util", "idle_utilization", "{:.2%}"),
-        Column("trace", "utilization", lambda utils: sparkline(utils[:30])),
-    ]
-    title = "Figure 1: idle-state processor activity"
-    ctx.out.write(format_columns(columns, rows, title=title) + "\n")
-    for row in rows:
-        write_series(ctx, f"fig1_{row['system']}.csv", row, IdleTracePoint._fields[1:])
-
-
-@experiment("fig2", title="Cumulative idle-state latency")
-def _fig2(ctx: RunContext) -> None:
-    from .cpu import OS_NAMES
-
-    rows = sweep(
-        ctx,
-        "fig2",
-        partial(_fig2_point, seed=ctx.seed),
-        list(OS_NAMES),
-        ("system",),
-        LostTimePoint,
-    )
-    columns = [
-        Column("system", "system"),
-        Column(
-            "total lost time / 10 min", "total_lost_ms", lambda ms: f"{ms / 1000:.1f}s"
-        ),
-    ]
-    title = "Figure 2: cumulative idle-state latency"
-    ctx.out.write(format_columns(columns, rows, title=title) + "\n")
-    for row in rows:
-        write_series(ctx, f"fig2_{row['system']}.csv", row, LostTimePoint._fields[1:])
-
-
-@experiment("fig3", title="Stall length vs scheduler queue length")
-def _fig3(ctx: RunContext) -> None:
-    sweeps = {
-        "nt_tse": [0, 5, 10, 15],
-        "linux": [0, 5, 10, 15, 25, 35, 50],
-    }
-    rows = sweep(
-        ctx,
-        "fig3",
-        partial(_fig3_point, seed=ctx.seed),
-        [(os_name, n) for os_name, loads in sweeps.items() for n in loads],
-        ("system", "queue_length"),
-        StallPoint,
-    )
-    columns = [
-        Column("system", "system"),
-        Column("queue length", "queue_length"),
-        Column("avg stall (ms)", "avg_stall_ms", "{:.0f}"),
-    ]
-    title = "Figure 3: stall length vs scheduler queue length"
-    ctx.out.write(format_columns(columns, rows, title=title) + "\n")
-    for os_name in sweeps:
+def _fig3_csvs(ctx: RunContext, rows: List[Row]) -> None:
+    """Figure 3's CSVs: one per system, queue length then stall."""
+    for os_name in FIG3_QUEUES:
         write_rows(
             ctx,
             f"fig3_{os_name}.csv",
@@ -345,45 +283,9 @@ def _fig3(ctx: RunContext) -> None:
         )
 
 
-@experiment("fig4", title="Synthetic web page network load")
-def _fig4(ctx: RunContext) -> None:
-    variants = ["marquee", "banner", "both"]
-    rows = sweep(
-        ctx, "fig4", _fig4_point, variants, ("variant",), LoadSeriesPoint, seed=0
-    )
-    columns = [
-        Column("variant", "variant"),
-        Column("avg Mbps", "avg_mbps", "{:.3f}"),
-    ]
-    title = "Figure 4: synthetic web page over RDP"
-    ctx.out.write(format_columns(columns, rows, title=title) + "\n")
-    for row in rows:
-        filename = f"fig4_{row['variant']}.csv"
-        write_series(ctx, filename, row, LoadSeriesPoint._fields[1:])
-
-
-@experiment("fig5", title="10-frame GIF over X/LBX/RDP")
-def _fig5(ctx: RunContext) -> None:
-    protocols = ["x", "lbx", "rdp"]
-    rows = sweep(
-        ctx, "fig5", _fig5_point, protocols, ("protocol",), LoadSeriesPoint, seed=0
-    )
-    columns = [
-        Column("protocol", "protocol"),
-        Column("steady Mbps", "avg_mbps", "{:.3f}"),
-    ]
-    title = "Figure 5: 10-frame 20 Hz GIF"
-    ctx.out.write(format_columns(columns, rows, title=title) + "\n")
-    for row in rows:
-        filename = f"fig5_{row['protocol']}.csv"
-        write_series(ctx, filename, row, LoadSeriesPoint._fields[1:])
-
-
-@experiment("fig6", title="Cache overflow: hit ratio + CPU")
-def _fig6(ctx: RunContext) -> None:
-    (row,) = sweep(
-        ctx, "fig6", _fig6_point, [66], ("frames",), CacheOverflowPoint, seed=0
-    )
+def _fig6_series(ctx: RunContext, rows: List[Row]) -> None:
+    """Figure 6's hit-ratio curve, every tenth sample."""
+    (row,) = rows
     ctx.out.write(
         format_series(
             "time (s)",
@@ -394,137 +296,8 @@ def _fig6(ctx: RunContext) -> None:
         )
         + "\n"
     )
-    write_series(ctx, "fig6.csv", row, CacheOverflowPoint._fields)
 
 
-@experiment("fig7", title="Network load vs frame count (cache cliff)")
-def _fig7(ctx: RunContext) -> None:
-    frame_counts = [25, 35, 45, 55, 65, 66, 70, 80, 90, 100]
-    rows = sweep(
-        ctx, "fig7", _fig7_point, frame_counts, ("frames",), FrameLoadPoint, seed=0
-    )
-    ctx.out.write(
-        format_series(
-            "frames",
-            "Mbps",
-            [row["frames"] for row in rows],
-            [row["mbps"] for row in rows],
-            title="Figure 7: network load vs frame count",
-        )
-        + "\n"
-    )
-    write_rows(ctx, "fig7.csv", rows)
-
-
-def _ping_sweep(ctx: RunContext, levels: List[float]) -> List[Row]:
-    """The shared fig8/fig9 ping sweep, honoring the context's fault plan."""
-    point = partial(
-        _ping_point, seed=ctx.seed, faults=ctx.faults or "", fault_seed=ctx.fault_seed
-    )
-    return sweep(
-        ctx, "ping" + ctx.fault_suffix, point, levels, ("offered_mbps",), PingPoint
-    )
-
-
-@experiment("fig8", title="RTT vs offered load")
-def _fig8(ctx: RunContext) -> None:
-    levels = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 9.6]
-    # figs 8 and 9 share the "ping" sweep, so a cached fig8 run also
-    # pre-pays every fig9 point (fig9's levels are a subset).
-    rows = _ping_sweep(ctx, levels)
-    ctx.out.write(
-        format_series(
-            "offered Mbps",
-            "mean RTT (ms)",
-            levels,
-            [row["mean_rtt_ms"] for row in rows],
-            title="Figure 8: RTT vs offered load",
-        )
-        + "\n"
-    )
-    write_rows(ctx, "fig8.csv", rows)
-
-
-@experiment("fig9", title="RTT variance vs offered load")
-def _fig9(ctx: RunContext) -> None:
-    levels = [0, 2, 4, 6, 8, 9, 9.6]
-    rows = _ping_sweep(ctx, levels)
-    ctx.out.write(
-        format_series(
-            "offered Mbps",
-            "RTT variance (ms^2)",
-            levels,
-            [row["rtt_variance"] for row in rows],
-            title="Figure 9: RTT jitter vs offered load",
-            y_format="{:.2f}",
-        )
-        + "\n"
-    )
-
-
-@experiment(
-    "chaos",
-    title="Message latency vs loss rate (faulted wire)",
-    group="chaos",
-)
-def _chaos(ctx: RunContext) -> None:
-    """Latency vs loss rate on a faulted wire — the robustness axis the
-    paper's perfect testbed never exercised."""
-    spec = ctx.faults or ""
-    rows = sweep(
-        ctx,
-        f"chaos[{spec}@{ctx.fault_seed}]",
-        partial(_chaos_point, faults=spec, fault_seed=ctx.fault_seed),
-        [0.0, 0.01, 0.02, 0.05, 0.1, 0.2],
-        ("loss",),
-        ChaosPoint,
-    )
-    columns = [
-        Column("loss", "loss", lambda loss: f"{loss * 100:g}%"),
-        Column("mean (ms)", "mean_latency_ms", "{:.2f}"),
-        Column("p99 (ms)", "p99_latency_ms", "{:.2f}"),
-        Column("delivered", "delivered_fraction", "{:.1%}"),
-        Column("rexmits", "retransmits"),
-        Column("timeouts", "timeouts_fired"),
-    ]
-    title = "Chaos: message latency vs loss rate (reliable transport)"
-    ctx.out.write(format_columns(columns, rows, title=title) + "\n")
-    write_rows(ctx, "chaos.csv", rows)
-
-
-def _cell_table(ctx: RunContext, filename: str, columns, rows, title: str) -> None:
-    """Print *rows* as a table; the CSV holds the same formatted cells,
-    headed by the columns' field names (the ``tab-*`` CSV format)."""
-    cells = format_cells(columns, rows)
-    headers = [column.header for column in columns]
-    ctx.out.write(format_table(headers, cells, title=title) + "\n")
-    if ctx.csv_dir:
-        fields = [column.field for column in columns]
-        write_csv(f"{ctx.csv_dir}/{filename}", fields, cells)
-
-
-@experiment("tab-mem", title="Keystroke latency under page demand")
-def _tab_mem(ctx: RunContext) -> None:
-    rows = sweep(
-        ctx,
-        "tab-mem",
-        partial(_tab_mem_point, seed=ctx.seed),
-        [(os_name, demand) for os_name in ("linux", "nt_tse") for demand in (0.5, 1.2)],
-        ("os", "demand"),
-        KeystrokeLatencyPoint,
-    )
-    columns = [
-        Column("OS", "os"),
-        Column("demand", "demand", {0.5: "<100%", 1.2: ">=100%"}.get),
-        Column("min", "min_ms", "{:.0f}"),
-        Column("avg", "avg_ms", "{:.0f}"),
-        Column("max", "max_ms", "{:.0f}"),
-    ]
-    title = "§5.2: keystroke latency (ms) under page demand"
-    _cell_table(ctx, "tab_mem_latency.csv", columns, rows, title)
-
-
-@experiment("tab-sessions", title="Per-login session memory")
 def _tab_sessions(ctx: RunContext) -> None:
     from .memory import LINUX_SESSION, TSE_SESSION_LIGHT, TSE_SESSION_TYPICAL
 
@@ -541,28 +314,6 @@ def _tab_sessions(ctx: RunContext) -> None:
         )
 
 
-@experiment("tab-proto", title="Protocol comparison + VIP savings")
-def _tab_proto(ctx: RunContext) -> None:
-    rows = sweep(
-        ctx,
-        "tab-proto",
-        partial(_tab_proto_point, seed=ctx.seed),
-        ["rdp", "x", "lbx"],
-        ("protocol",),
-        ProtocolPoint,
-    )
-    columns = [
-        Column("protocol", "protocol"),
-        Column("bytes", "bytes", "{:,}"),
-        Column("messages", "messages", "{:,}"),
-        Column("avg size", "avg_size", "{:.1f}"),
-        Column("VIP savings", "vip_savings", "{:.2%}"),
-    ]
-    title = "§6.1.2: protocol comparison + VIP table"
-    _cell_table(ctx, "tab_proto.csv", columns, rows, title)
-
-
-@experiment("tab-setup", title="Session setup costs")
 def _tab_setup(ctx: RunContext) -> None:
     from .gui import TSE_SETUP, X_SETUP
 
@@ -579,11 +330,139 @@ def _tab_setup(ctx: RunContext) -> None:
     )
 
 
+_paper = partial(ExperimentSpec, group="paper", sweep="{name}")
+_SYSTEM = Column("system", "system")
+_OFFERED_MBPS = Column("offered Mbps", "offered_mbps")
+
+PAPER_SPECS = (
+    _paper(
+        "fig1", "Idle-state CPU activity traces",
+        point=_fig1_point, grid=OS_NAMES, keys=("system",), record=IdleTracePoint,
+        tables=[Table("Figure 1: idle-state processor activity", [
+            _SYSTEM, Column("avg idle util", "idle_utilization", "{:.2%}"),
+            Column("trace", "utilization", lambda utils: sparkline(utils[:30])),
+        ])],
+        csv="fig1_{system}.csv", csv_layout="series",
+    ),
+    _paper(
+        "fig2", "Cumulative idle-state latency",
+        point=_fig2_point, grid=OS_NAMES, keys=("system",), record=LostTimePoint,
+        tables=[Table("Figure 2: cumulative idle-state latency", [
+            _SYSTEM,
+            Column(
+                "total lost time / 10 min", "total_lost_ms", lambda ms: f"{ms / 1000:.1f}s"
+            ),
+        ])],
+        csv="fig2_{system}.csv", csv_layout="series",
+    ),
+    _paper(
+        "fig3", "Stall length vs scheduler queue length",
+        point=_fig3_point,
+        grid=[(os_name, n) for os_name, loads in FIG3_QUEUES.items() for n in loads],
+        keys=("system", "queue_length"), record=StallPoint,
+        tables=[Table("Figure 3: stall length vs scheduler queue length", [
+            _SYSTEM, Column("queue length", "queue_length"),
+            Column("avg stall (ms)", "avg_stall_ms", "{:.0f}"),
+        ])],
+        post_rows=_fig3_csvs, csv=None,
+    ),
+    _paper(
+        "fig4", "Synthetic web page network load",
+        point=_fig4_point, grid=["marquee", "banner", "both"], keys=("variant",),
+        record=LoadSeriesPoint, seeded=False,
+        tables=[Table("Figure 4: synthetic web page over RDP", [
+            Column("variant", "variant"), Column("avg Mbps", "avg_mbps", "{:.3f}"),
+        ])],
+        csv="fig4_{variant}.csv", csv_layout="series",
+    ),
+    _paper(
+        "fig5", "10-frame GIF over X/LBX/RDP",
+        point=_fig5_point, grid=["x", "lbx", "rdp"], keys=("protocol",),
+        record=LoadSeriesPoint, seeded=False,
+        tables=[Table("Figure 5: 10-frame 20 Hz GIF", [
+            Column("protocol", "protocol"), Column("steady Mbps", "avg_mbps", "{:.3f}"),
+        ])],
+        csv="fig5_{protocol}.csv", csv_layout="series",
+    ),
+    _paper(
+        "fig6", "Cache overflow: hit ratio + CPU",
+        point=_fig6_point, grid=[66], keys=("frames",), record=CacheOverflowPoint,
+        seeded=False, post_rows=_fig6_series, csv_layout="series",
+    ),
+    _paper(
+        "fig7", "Network load vs frame count (cache cliff)",
+        point=_fig7_point, grid=[25, 35, 45, 55, 65, 66, 70, 80, 90, 100],
+        keys=("frames",), record=FrameLoadPoint, seeded=False,
+        tables=[Table("Figure 7: network load vs frame count", [
+            Column("frames", "frames"), Column("Mbps", "mbps", "{:.3f}"),
+        ])],
+    ),
+    # figs 8 and 9 share the "ping" sweep, so a cached fig8 run also
+    # pre-pays every fig9 point (fig9's levels are a subset).
+    _paper(
+        "fig8", "RTT vs offered load",
+        point=_ping_point, grid=[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 9.6],
+        keys=("offered_mbps",), record=PingPoint, sweep="ping{fault_suffix}",
+        tables=[Table("Figure 8: RTT vs offered load", [
+            _OFFERED_MBPS, Column("mean RTT (ms)", "mean_rtt_ms", "{:.3f}"),
+        ])],
+    ),
+    _paper(
+        "fig9", "RTT variance vs offered load",
+        point=_ping_point, grid=[0, 2, 4, 6, 8, 9, 9.6],
+        keys=("offered_mbps",), record=PingPoint, sweep="ping{fault_suffix}",
+        tables=[Table("Figure 9: RTT jitter vs offered load", [
+            _OFFERED_MBPS, Column("RTT variance (ms^2)", "rtt_variance", "{:.2f}"),
+        ])],
+        csv=None,
+    ),
+    # Latency vs loss rate on a faulted wire — the robustness axis the
+    # paper's perfect testbed never exercised.
+    _paper(
+        "chaos", "Message latency vs loss rate (faulted wire)", group="chaos",
+        point=_chaos_point, grid=[0.0, 0.01, 0.02, 0.05, 0.1, 0.2], keys=("loss",),
+        record=ChaosPoint, sweep="chaos[{faults}@{fault_seed}]",
+        tables=[Table("Chaos: message latency vs loss rate (reliable transport)", [
+            Column("loss", "loss", lambda loss: f"{loss * 100:g}%"),
+            Column("mean (ms)", "mean_latency_ms", "{:.2f}"),
+            Column("p99 (ms)", "p99_latency_ms", "{:.2f}"),
+            Column("delivered", "delivered_fraction", "{:.1%}"),
+            Column("rexmits", "retransmits"), Column("timeouts", "timeouts_fired"),
+        ])],
+    ),
+    _paper(
+        "tab-mem", "Keystroke latency under page demand",
+        point=_tab_mem_point,
+        grid=[(os_name, demand) for os_name in ("linux", "nt_tse") for demand in (0.5, 1.2)],
+        keys=("os", "demand"), record=KeystrokeLatencyPoint,
+        tables=[Table("§5.2: keystroke latency (ms) under page demand", [
+            Column("OS", "os"), Column("demand", "demand", {0.5: "<100%", 1.2: ">=100%"}.get),
+            Column("min", "min_ms", "{:.0f}"), Column("avg", "avg_ms", "{:.0f}"),
+            Column("max", "max_ms", "{:.0f}"),
+        ])],
+        csv="tab_mem_latency.csv", csv_layout="cells",
+    ),
+    _paper("tab-sessions", "Per-login session memory", runner=_tab_sessions),
+    _paper(
+        "tab-proto", "Protocol comparison + VIP savings",
+        point=_tab_proto_point, grid=["rdp", "x", "lbx"], keys=("protocol",),
+        record=ProtocolPoint,
+        tables=[Table("§6.1.2: protocol comparison + VIP table", [
+            Column("protocol", "protocol"), Column("bytes", "bytes", "{:,}"),
+            Column("messages", "messages", "{:,}"), Column("avg size", "avg_size", "{:.1f}"),
+            Column("VIP savings", "vip_savings", "{:.2%}"),
+        ])],
+        csv="tab_proto.csv", csv_layout="cells",
+    ),
+    _paper("tab-setup", "Session setup costs", runner=_tab_setup),
+)
+
 # The fleet, analytic, SLO and scale groups register after the paper set,
 # in this fixed sequence, so ``run all`` appends them without disturbing
 # the historical order.  Their modules only declare ``SPECS``; this is the
 # one place that orders them.
 for _spec in (
+    *PAPER_SPECS,
     *_fleet_experiments.SPECS,
     *_analytic_experiments.SPECS,
     *_slo_experiments.SPECS,

@@ -28,7 +28,7 @@ from .latency import (
     assess,
     threshold_for,
 )
-from .registry import ExperimentSpec, experiment
+from .registry import ExperimentSpec
 from .report import format_series, format_table, sparkline
 from .server import ServerConfig, ThinClientServer, UserSession
 
@@ -54,7 +54,6 @@ __all__ = [
     "blend_profiles",
     "compare",
     "evaluate",
-    "experiment",
     "format_series",
     "format_table",
     "plan_capacity",

@@ -1,21 +1,15 @@
 """The experiment registry: named, grouped, runnable reproductions.
 
-Experiments used to be hand-wired into ``cli.py``'s dispatch table; adding
-one meant editing the CLI.  The registry inverts that: an experiment
-registers *itself* with the :func:`experiment` decorator::
-
-    from repro.core.registry import experiment
-
-    @experiment("fleet_capacity", group="fleet",
-                title="Sessions per server vs fleet size")
-    def _fleet_capacity(ctx):
-        ...
-
-and every registry consumer — ``repro list``, ``repro run``, ``repro
-trace``, ``run all`` — picks it up without a CLI change.  The fleet,
-analytic, SLO and scale modules instead export a ``SPECS`` tuple of
-:class:`ExperimentSpec`, which ``repro.cli`` passes to :func:`register`
-in one fixed sequence after the paper set.
+An experiment is declared as data, an :class:`ExperimentSpec`, and added
+with :func:`register`.  A spec names its point function, grid, record,
+tables and CSV layout, and :func:`repro.core.report.run_spec` runs it; only
+an experiment whose output is not a sweep table (``tab-sessions``,
+``tab-setup``) carries a bespoke ``runner`` instead.  Each experiments
+module exports a ``SPECS`` tuple and never imports the CLI; ``repro.cli``
+registers its paper set, then the fleet, analytic, SLO and scale tuples,
+in that fixed sequence.  Every registry consumer — ``repro list``,
+``repro run``, ``repro trace``, ``run all`` — picks a new spec up without
+a CLI change.
 
 Two ordering contracts keep historical artifacts stable:
 
@@ -31,23 +25,48 @@ Two ordering contracts keep historical artifacts stable:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ExperimentError
+from .report import Overlay, Row, Table, run_spec
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One registered experiment: id, human title, display group, runner.
+    """One registered experiment: id, ``repro list`` title, display group,
+    and the sweep that produces its output.
 
-    ``run`` receives a single :class:`~repro.exec.RunContext` carrying the
-    seed, output stream, CSV directory, and execution policy.
+    :func:`~repro.core.report.run_spec` documents how the sweep fields
+    (``point`` … ``csv_layout``) are run.  ``point`` returns a *record*
+    (a ``NamedTuple``) for one *grid* cell, named by *keys*.  *seeded*
+    says whether the run seed keys the result cache (else seed 0).
+    *sweep* formats to the sweep name.  *tables* are the stdout blocks,
+    in order; *post_rows* ``(ctx, rows)`` prints or writes what is derived
+    from the rows.  *csv* formats to the CSV file name, or is ``None``
+    for no CSV.  A spec with a *runner* ``(ctx)`` runs that instead.
     """
 
     name: str
     title: str
     group: str
-    run: Callable
+    runner: Optional[Callable[[Any], None]] = None
+    point: Optional[Callable[..., Any]] = None
+    grid: Sequence[Any] = ()
+    keys: Tuple[str, ...] = ()
+    record: Any = None
+    seeded: bool = True
+    sweep: str = "{name}{fault_suffix}"
+    tables: Sequence[Union[Table, Overlay]] = ()
+    post_rows: Optional[Callable[[Any, List[Row]], None]] = None
+    csv: Optional[str] = "{name}.csv"
+    csv_layout: str = "rows"
+
+    def run(self, ctx: Any) -> None:
+        """Run the experiment in *ctx* (a :class:`~repro.exec.RunContext`)."""
+        if self.runner is not None:
+            self.runner(ctx)
+        else:
+            run_spec(self, ctx)
 
 
 #: The live registry, in registration order.  ``repro run all`` iterates
@@ -72,22 +91,6 @@ def unregister(name: str) -> None:
     if name not in REGISTRY:
         raise ExperimentError(f"experiment {name!r} is not registered")
     del REGISTRY[name]
-
-
-def experiment(
-    name: str, *, title: str, group: str = "paper"
-) -> Callable[[Callable], Callable]:
-    """Class-free registration decorator; returns the runner unchanged.
-
-    ``group`` labels the ``repro list`` section the experiment appears
-    under; it never affects run order.
-    """
-
-    def decorate(fn: Callable) -> Callable:
-        register(ExperimentSpec(name=name, title=title, group=group, run=fn))
-        return fn
-
-    return decorate
 
 
 def get(name: str) -> Optional[ExperimentSpec]:

@@ -3,16 +3,18 @@
 The benchmark harness prints the same rows/series the paper's tables and
 figures report; these helpers keep that output aligned and consistent.
 
-Registered experiments are declared with four of them: :func:`sweep` maps
-a point function over a grid and returns one row per cell (the cell's key
-fields, then the point's record fields), a :class:`Column` list renders
-those rows as the table (:func:`format_columns`), and :func:`write_rows`
-writes the same rows as the CSV.
+Registered experiments are declared as data and executed by
+:func:`run_spec`: :func:`sweep` maps the point function over the grid and
+returns one row per cell (the cell's key fields, then the point's record
+fields), each :class:`Table` (a :class:`Column` list) or :class:`Overlay`
+renders those rows to stdout, and the same rows become the CSV.
 """
 
 from __future__ import annotations
 
 import re
+from functools import partial
+from inspect import signature
 from typing import (
     Any,
     Callable,
@@ -189,6 +191,118 @@ def write_series(ctx: Any, filename: str, row: Row, fields: Sequence[str]) -> No
         write_csv(f"{ctx.csv_dir}/{filename}", fields, body)
 
 
+class Table(NamedTuple):
+    """One printed table of a sweep's rows: a *title* and its columns.
+
+    A two-column table is a figure's series.  *where* ``(field, value)``
+    keeps only the rows whose *field* equals *value*.  A callable *title*
+    is called when the table prints, so a title that needs a computed
+    value costs nothing at import.
+    """
+
+    title: Union[str, Callable[[], str]]
+    columns: Sequence[Column]
+    where: Optional[Tuple[str, Any]] = None
+
+    def format(self, rows: Sequence[Row]) -> str:
+        """The table of *rows*, titled."""
+        if self.where is not None:
+            field, value = self.where
+            rows = [row for row in rows if row[field] == value]
+        title = self.title() if callable(self.title) else self.title
+        return format_columns(self.columns, rows, title=title)
+
+
+class Overlay(NamedTuple):
+    """A predicted-vs-simulated table with relative-error columns.
+
+    Each ``(name, field)`` in *series* reads ``predicted_<field>`` and
+    ``simulated_<field>`` from the rows and contributes three columns —
+    ``<name> pred``, ``<name> sim``, ``<name> err`` — values to four
+    decimals, the error a percent of the prediction.  *x* is the first
+    column.
+    """
+
+    title: str
+    x: Column
+    series: Sequence[Tuple[str, str]]
+
+    def format(self, rows: Sequence[Row]) -> str:
+        """The overlay table of *rows*, titled."""
+        headers = [self.x.header]
+        for name, __ in self.series:
+            headers += [f"{name} pred", f"{name} sim", f"{name} err"]
+        cells = []
+        for row in rows:
+            line = [self.x.cell(row)]
+            for __, field in self.series:
+                predicted = row[f"predicted_{field}"]
+                simulated = row[f"simulated_{field}"]
+                error = abs(simulated - predicted) / abs(predicted)
+                line += [f"{predicted:.4f}", f"{simulated:.4f}", f"{error * 100:.1f}%"]
+            cells.append(line)
+        return format_table(headers, cells, title=self.title)
+
+
+def run_spec(spec: Any, ctx: Any) -> None:
+    """Run the sweep experiment *spec* declares (a registry ``ExperimentSpec``).
+
+    The point function gets whichever of ``seed``, ``faults`` and
+    ``fault_seed`` its signature names, from *ctx*.  The sweep name is
+    ``spec.sweep`` formatted with the experiment ``name``, those three and
+    ``fault_suffix``; it keys the result cache (under seed 0 for an
+    unseeded spec) and tags trace events.  Then the spec's tables print in
+    order, its ``post_rows`` hook sees the rows, and the CSV is written in
+    the spec's ``csv_layout``:
+
+    ``rows``
+        every row field (:func:`write_rows`);
+    ``columns``
+        the first table's column fields, raw values;
+    ``cells``
+        the first table's column fields, formatted cells;
+    ``series``
+        one CSV per row, ``spec.csv`` formatted with the row's fields,
+        holding the row's list-valued record fields as columns.
+    """
+    given = {"seed": ctx.seed, "faults": ctx.faults or "", "fault_seed": ctx.fault_seed}
+    wanted = signature(spec.point).parameters
+    bound = {key: value for key, value in given.items() if key in wanted}
+    name = spec.sweep.format(name=spec.name, fault_suffix=ctx.fault_suffix, **given)
+    rows = sweep(
+        ctx,
+        name,
+        partial(spec.point, **bound) if bound else spec.point,
+        list(spec.grid),
+        spec.keys,
+        spec.record,
+        seed=None if spec.seeded else 0,
+    )
+    for table in spec.tables:
+        ctx.out.write(table.format(rows) + "\n")
+    if spec.post_rows is not None:
+        spec.post_rows(ctx, rows)
+    if spec.csv is None or not ctx.csv_dir:
+        return
+    if spec.csv_layout == "series":
+        for row in rows:
+            fields = [f for f in spec.record._fields if isinstance(row[f], list)]
+            write_series(ctx, spec.csv.format(name=spec.name, **row), row, fields)
+        return
+    filename = spec.csv.format(name=spec.name)
+    if spec.csv_layout == "rows":
+        write_rows(ctx, filename, rows)
+        return
+    columns = spec.tables[0].columns
+    fields = [column.field for column in columns]
+    if spec.csv_layout == "cells":
+        write_csv(f"{ctx.csv_dir}/{filename}", fields, format_cells(columns, rows))
+    elif spec.csv_layout == "columns":
+        write_rows(ctx, filename, rows, fields)
+    else:
+        raise ExperimentError(f"{spec.name}: unknown csv_layout {spec.csv_layout!r}")
+
+
 #: Per-server fleet gauge rows, e.g. ``fleet.load.s03 (peak)`` — the
 #: ``sNN`` label is the zero-padded server index the fleet layer assigns.
 _FLEET_SERVER_ROW = re.compile(
@@ -255,84 +369,6 @@ def format_metrics_summary(
         ["metric", "value"],
         _collapse_fleet_rows(rows),
         title=f"{experiment}: metrics summary",
-    )
-
-
-def format_overlay(
-    x_label: str,
-    xs: Sequence[object],
-    series: Sequence[Tuple[str, Sequence[float], Sequence[float]]],
-    *,
-    title: Optional[str] = None,
-    y_format: str = "{:.4f}",
-) -> str:
-    """A predicted-vs-simulated overlay table with relative-error columns.
-
-    *series* holds ``(name, predicted, simulated)`` triples, one per
-    observable; each contributes three columns — ``<name> pred``,
-    ``<name> sim``, ``<name> err`` — with the error rendered as a percent
-    of the prediction.  The analytic experiments print their comparison
-    curves through this helper so every overlay reads the same way.
-    """
-    headers: List[str] = [x_label]
-    for name, predicted, simulated in series:
-        if len(predicted) != len(xs) or len(simulated) != len(xs):
-            raise ExperimentError(f"overlay series {name!r} length mismatch")
-        headers += [f"{name} pred", f"{name} sim", f"{name} err"]
-    rows: List[List[object]] = []
-    for i, x in enumerate(xs):
-        row: List[object] = [x]
-        for __, predicted, simulated in series:
-            error = abs(simulated[i] - predicted[i]) / abs(predicted[i])
-            row += [
-                y_format.format(predicted[i]),
-                y_format.format(simulated[i]),
-                f"{error * 100:.1f}%",
-            ]
-        rows.append(row)
-    return format_table(headers, rows, title=title)
-
-
-def format_slo_summary(reports: Iterable[object], *, title: Optional[str] = None) -> str:
-    """One row per :class:`repro.slo.SloReport`: tail percentiles and burn.
-
-    Renders the SLO accounting the ``slo_*`` experiments produce — budget,
-    observed p50/p90/p99/p99.9, violation rate, and error-budget burn
-    (whole-stream and worst-window) — in the same aligned style as every
-    other table, so experiment outputs stay diffable byte-for-byte.
-    """
-    rows = [
-        [
-            r.operation,
-            r.samples,
-            f"{r.budget_ms:g}",
-            f"{r.percentiles[0]:.2f}",
-            f"{r.percentiles[1]:.2f}",
-            f"{r.percentiles[2]:.2f}",
-            f"{r.percentiles[3]:.2f}",
-            r.violations,
-            f"{r.violation_rate * 100:.2f}%",
-            f"{r.budget_burn:.2f}",
-            f"{r.worst_window_burn:.2f}",
-        ]
-        for r in reports
-    ]
-    return format_table(
-        [
-            "operation",
-            "n",
-            "budget ms",
-            "p50",
-            "p90",
-            "p99",
-            "p99.9",
-            "viol",
-            "viol rate",
-            "burn",
-            "worst burn",
-        ],
-        rows,
-        title=title,
     )
 
 

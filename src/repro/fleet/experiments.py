@@ -23,11 +23,10 @@ and warm-cache runs.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import List, NamedTuple, Sequence, Tuple
 
 from ..core.registry import ExperimentSpec
-from ..core.report import Column, format_columns, format_series, sweep, write_rows
+from ..core.report import Column, Row, Table, format_series, write_rows
 from ..sim.stats import nearest_rank_percentile
 
 #: p99 user-perceived latency SLO (ms) a fleet configuration must hold —
@@ -221,38 +220,9 @@ def _fleet_placement_point(
     )
 
 
-def _fleet_capacity(ctx) -> None:
-    """Sweep the (fleet size × sessions/server) grid; print the frontier."""
-    rows = sweep(
-        ctx,
-        "fleet_capacity" + ctx.fault_suffix,
-        partial(
-            _fleet_capacity_point,
-            seed=ctx.seed,
-            faults=ctx.faults or "",
-            fault_seed=ctx.fault_seed,
-        ),
-        [(n, k) for n in CAPACITY_FLEET_SIZES for k in CAPACITY_PER_SERVER],
-        ("servers", "sessions_per_server"),
-        CapacityPoint,
-    )
-    columns = [
-        Column("servers", "servers"),
-        Column("sessions/server", "sessions_per_server"),
-        Column("admitted", "admitted"),
-        Column("rejected", "rejected"),
-        Column("p50 (ms)", "p50_ms", "{:.1f}"),
-        Column("p99 (ms)", "p99_ms", "{:.1f}"),
-        Column("backbone", "backbone_utilization", "{:.0%}"),
-    ]
-    ctx.out.write(
-        format_columns(
-            columns,
-            rows,
-            title="Fleet capacity grid (shared backbone, round_robin)",
-        )
-        + "\n"
-    )
+def _capacity_frontier(ctx, rows: List[Row]) -> None:
+    """Print and write the grid's SLO-preserving frontier: per fleet size,
+    the most sessions per server whose p99 holds :data:`SLO_P99_MS`."""
     frontier = [0] * len(CAPACITY_FLEET_SIZES)
     for row in rows:
         if row["p99_ms"] <= SLO_P99_MS:
@@ -269,8 +239,6 @@ def _fleet_capacity(ctx) -> None:
         )
         + "\n"
     )
-    # The CSV keeps its historical column order: admission counts first.
-    write_rows(ctx, "fleet_capacity.csv", rows, [c.field for c in columns])
     write_rows(
         ctx,
         "fleet_capacity_frontier.csv",
@@ -281,45 +249,37 @@ def _fleet_capacity(ctx) -> None:
     )
 
 
-def _fleet_placement(ctx) -> None:
-    """Race every placement policy on the same fleet; print latency rows."""
-    rows = sweep(
-        ctx,
-        "fleet_placement" + ctx.fault_suffix,
-        partial(
-            _fleet_placement_point,
-            seed=ctx.seed,
-            faults=ctx.faults or "",
-            fault_seed=ctx.fault_seed,
-        ),
-        list(PLACEMENT_POLICIES_ORDER),
-        ("policy",),
-        PlacementPoint,
-    )
-    columns = [
-        Column("policy", "policy"),
-        Column("p50 (ms)", "p50_ms", "{:.1f}"),
-        Column("p99 (ms)", "p99_ms", "{:.1f}"),
-        Column("migrations", "migrations"),
-        Column("rejected", "rejected"),
-    ]
-    title = (
-        f"Placement policies: {PLACEMENT_SESSIONS} sessions on "
-        f"{PLACEMENT_SERVERS} servers, one mid-run failure"
-    )
-    ctx.out.write(format_columns(columns, rows, title=title) + "\n")
-    write_rows(ctx, "fleet_placement.csv", rows)
-
-
 #: This module's experiments, in ``run all`` order; ``repro.cli``
 #: registers them right after the paper set.
 SPECS = (
     ExperimentSpec(
-        "fleet_capacity", "Fleet capacity: SLO sessions/server vs fleet size",
-        "fleet", _fleet_capacity,
+        "fleet_capacity", "Fleet capacity: SLO sessions/server vs fleet size", "fleet",
+        point=_fleet_capacity_point,
+        grid=[(n, k) for n in CAPACITY_FLEET_SIZES for k in CAPACITY_PER_SERVER],
+        keys=("servers", "sessions_per_server"), record=CapacityPoint,
+        tables=[Table("Fleet capacity grid (shared backbone, round_robin)", [
+            Column("servers", "servers"), Column("sessions/server", "sessions_per_server"),
+            Column("admitted", "admitted"), Column("rejected", "rejected"),
+            Column("p50 (ms)", "p50_ms", "{:.1f}"), Column("p99 (ms)", "p99_ms", "{:.1f}"),
+            Column("backbone", "backbone_utilization", "{:.0%}"),
+        ])],
+        post_rows=_capacity_frontier,
+        # The CSV keeps its historical column order: admission counts first.
+        csv_layout="columns",
     ),
     ExperimentSpec(
         "fleet_placement", "Placement policies: p50/p99 latency under a server failure",
-        "fleet", _fleet_placement,
+        "fleet",
+        point=_fleet_placement_point, grid=PLACEMENT_POLICIES_ORDER, keys=("policy",),
+        record=PlacementPoint,
+        tables=[Table(
+            f"Placement policies: {PLACEMENT_SESSIONS} sessions on "
+            f"{PLACEMENT_SERVERS} servers, one mid-run failure",
+            [
+                Column("policy", "policy"), Column("p50 (ms)", "p50_ms", "{:.1f}"),
+                Column("p99 (ms)", "p99_ms", "{:.1f}"), Column("migrations", "migrations"),
+                Column("rejected", "rejected"),
+            ],
+        )],
     ),
 )

@@ -50,11 +50,10 @@ entries stay distinct.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import NamedTuple, Tuple
 
 from ..core.registry import ExperimentSpec
-from ..core.report import Column, format_columns, format_series, sweep, write_rows
+from ..core.report import Column, Table
 from ..sim.stats import nearest_rank_percentile
 
 #: Arrival processes raced by ``scale_load_curve`` (output row order).
@@ -364,64 +363,13 @@ def _scale_closed_fleet_point(bg_sessions: int, *, seed: int) -> ClosedFleetPoin
     )
 
 
-def _scale_load_curve(ctx) -> None:
-    """Sweep both processes over the population axis; print the knee."""
-    rows = sweep(
-        ctx,
-        "scale_load_curve" + ctx.fault_suffix,
-        partial(_scale_load_curve_point, seed=ctx.seed),
-        [(p, users) for p in LOAD_CURVE_PROCESSES for users in LOAD_CURVE_USERS],
-        ("process", "users"),
-        LoadCurvePoint,
-    )
-    columns = [
-        Column("process", "process"),
-        Column("users", "users"),
-        Column("offered (Mbps)", "offered_mbps", "{:.2f}"),
-        Column("util", "utilization", "{:.0%}"),
-        Column("n", "samples"),
-        Column("mean (ms)", "rtt_mean_ms", "{:.2f}"),
-        Column("p50 (ms)", "rtt_p50_ms", "{:.2f}"),
-        Column("p99 (ms)", "rtt_p99_ms", "{:.2f}"),
-        Column("p99.9 (ms)", "rtt_p999_ms", "{:.2f}"),
-        Column("viol rate", "violation_rate", "{:.2%}"),
-        Column("burn (10 ms)", "budget_burn", "{:.2f}"),
-    ]
-    title = (
-        "RTT vs population on the shared wire "
-        f"({LOAD_CURVE_PER_USER_BPS:.0f} bps/user, exact probes)"
-    )
-    ctx.out.write(format_columns(columns, rows, title=title) + "\n")
-    poisson = [row for row in rows if row["process"] == "poisson"]
-    ctx.out.write(
-        format_series(
-            "users",
-            "probe RTT p99 (ms), poisson",
-            [str(row["users"]) for row in poisson],
-            [row["rtt_p99_ms"] for row in poisson],
-            title="The Figure 8 knee, three orders of magnitude later",
-            y_format="{:.2f}",
-        )
-        + "\n"
-    )
-    write_rows(ctx, "scale_load_curve.csv", rows)
-
-
-def _scale_closed_curve(ctx) -> None:
-    """Sweep closed-loop sessions over the population axis; mark the knee."""
+def _closed_curve_title() -> str:
+    """The closed curve's table title, with the MVA knee of its wire."""
     from ..analytic.mva import saturation_population
     from ..net.loadgen import DEFAULT_KEYSTROKE_BYTES
     from ..units import mbps_to_bytes_per_ms
     from .population import DEFAULT_ECHO_BYTES
 
-    rows = sweep(
-        ctx,
-        "scale_closed_curve" + ctx.fault_suffix,
-        partial(_scale_closed_curve_point, seed=ctx.seed),
-        CLOSED_CURVE_USERS,
-        ("sessions",),
-        ClosedCurvePoint,
-    )
     demand_ms = (DEFAULT_KEYSTROKE_BYTES + DEFAULT_ECHO_BYTES) / (
         mbps_to_bytes_per_ms(CLOSED_CURVE_BANDWIDTH_MBPS)
     )
@@ -429,137 +377,115 @@ def _scale_closed_curve(ctx) -> None:
         CLOSED_CURVE_THINK_MS / CLOSED_CURVE_BURST_KEYS + CLOSED_CURVE_TYPE_MS
     )
     knee = saturation_population(think_per_round, [demand_ms])
-    columns = [
-        Column("sessions", "sessions"),
-        Column("util", "utilization", "{:.0%}"),
-        Column("n", "samples"),
-        Column("p50 (ms)", "rtt_p50_ms", "{:.2f}"),
-        Column("p99 (ms)", "rtt_p99_ms", "{:.2f}"),
-        Column("X (keys/s)", "throughput_keys_per_s", "{:.0f}"),
-        Column("keys/s/session", "per_session_keys_per_s", "{:.4f}"),
-        Column("R (ms)", "response_ms", "{:.1f}"),
-        Column("MVA X bound", "mva_throughput_bound_keys_per_s", "{:.0f}"),
-        Column("viol rate", "violation_rate", "{:.2%}"),
-    ]
-    title = (
+    return (
         "Closed-loop typing sessions on the shared wire "
         f"(MVA knee N* = {knee:,.0f}, exact probes)"
     )
-    ctx.out.write(format_columns(columns, rows, title=title) + "\n")
-    ctx.out.write(
-        format_series(
-            "sessions",
-            "per-session throughput (keys/s)",
-            [str(row["sessions"]) for row in rows],
-            [row["per_session_keys_per_s"] for row in rows],
-            title="The MVA knee: flat until N*, then 1/N decay",
-            y_format="{:.4f}",
-        )
-        + "\n"
-    )
-    write_rows(ctx, "scale_closed_curve.csv", rows)
 
 
-def _scale_fleet(ctx) -> None:
-    """Sweep background population per server; print the p99 frontier."""
-    rows = sweep(
-        ctx,
-        "scale_fleet" + ctx.fault_suffix,
-        partial(_scale_fleet_point, seed=ctx.seed),
-        [(p, users) for p in FLEET_PROCESSES for users in FLEET_BG_USERS],
-        ("process", "bg_users_per_server"),
-        FleetPoint,
-    )
-    columns = [
-        Column("process", "process"),
-        Column("bg users/server", "bg_users_per_server"),
-        Column("n", "samples"),
-        Column("cpu", "cpu_utilization", "{:.0%}"),
-        Column("lan", "lan_utilization", "{:.0%}"),
-        Column("p50 (ms)", "p50_ms", "{:.1f}"),
-        Column("p99 (ms)", "p99_ms", "{:.1f}"),
-        Column("viol rate", "violation_rate", "{:.2%}"),
-        Column(f"burn ({FLEET_BUDGET_MS:.0f} ms)", "budget_burn", "{:.2f}"),
-    ]
-    title = (
-        f"Capacity frontier at population scale: {FLEET_SERVERS} "
-        f"servers, {FLEET_PROBES_PER_SERVER} pinned probes each, "
-        "corrected latencies"
-    )
-    ctx.out.write(format_columns(columns, rows, title=title) + "\n")
-    onoff = [row for row in rows if row["process"] == "onoff"]
-    ctx.out.write(
-        format_series(
-            "bg users/server",
-            "probe p99 (ms), onoff",
-            [str(row["bg_users_per_server"]) for row in onoff],
-            [row["p99_ms"] for row in onoff],
-            title="What a bursty million-user farm does to the tail",
-            y_format="{:.1f}",
-        )
-        + "\n"
-    )
-    write_rows(ctx, "scale_fleet.csv", rows)
-
-
-def _scale_closed_fleet(ctx) -> None:
-    """Sweep typing sessions per server; print the self-throttling frontier."""
-    rows = sweep(
-        ctx,
-        "scale_closed_fleet" + ctx.fault_suffix,
-        partial(_scale_closed_fleet_point, seed=ctx.seed),
-        CLOSED_FLEET_BG_SESSIONS,
-        ("bg_sessions_per_server",),
-        ClosedFleetPoint,
-    )
-    columns = [
-        Column("sessions/server", "bg_sessions_per_server"),
-        Column("n", "samples"),
-        Column("cpu", "cpu_utilization", "{:.0%}"),
-        Column("lan", "lan_utilization", "{:.0%}"),
-        Column("keys/s", "keys_per_s_per_server", "{:.0f}"),
-        Column("p50 (ms)", "p50_ms", "{:.1f}"),
-        Column("p99 (ms)", "p99_ms", "{:.1f}"),
-        Column("viol rate", "violation_rate", "{:.2%}"),
-        Column(f"burn ({FLEET_BUDGET_MS:.0f} ms)", "budget_burn", "{:.2f}"),
-    ]
-    title = (
-        f"Closed-loop capacity frontier: {FLEET_SERVERS} servers, "
-        f"{FLEET_PROBES_PER_SERVER} pinned probes each, typing "
-        "sessions that block on their echoes"
-    )
-    ctx.out.write(format_columns(columns, rows, title=title) + "\n")
-    ctx.out.write(
-        format_series(
-            "sessions/server",
-            "probe p99 (ms)",
-            [str(row["bg_sessions_per_server"]) for row in rows],
-            [row["p99_ms"] for row in rows],
-            title="Self-throttling sessions still have a frontier",
-            y_format="{:.1f}",
-        )
-        + "\n"
-    )
-    write_rows(ctx, "scale_closed_fleet.csv", rows)
-
+_FLEET_TAIL = [
+    Column("p50 (ms)", "p50_ms", "{:.1f}"), Column("p99 (ms)", "p99_ms", "{:.1f}"),
+    Column("viol rate", "violation_rate", "{:.2%}"),
+    Column(f"burn ({FLEET_BUDGET_MS:.0f} ms)", "budget_burn", "{:.2f}"),
+]
 
 #: This module's experiments, in ``run all`` order; ``repro.cli``
 #: registers them after the SLO group.
 SPECS = (
     ExperimentSpec(
         "scale_load_curve", "RTT vs load at 10^4-10^6 background users (hybrid tier)",
-        "scale", _scale_load_curve,
+        "scale",
+        point=_scale_load_curve_point,
+        grid=[(p, users) for p in LOAD_CURVE_PROCESSES for users in LOAD_CURVE_USERS],
+        keys=("process", "users"), record=LoadCurvePoint,
+        tables=[
+            Table(
+                "RTT vs population on the shared wire "
+                f"({LOAD_CURVE_PER_USER_BPS:.0f} bps/user, exact probes)",
+                [
+                    Column("process", "process"), Column("users", "users"),
+                    Column("offered (Mbps)", "offered_mbps", "{:.2f}"),
+                    Column("util", "utilization", "{:.0%}"), Column("n", "samples"),
+                    Column("mean (ms)", "rtt_mean_ms", "{:.2f}"),
+                    Column("p50 (ms)", "rtt_p50_ms", "{:.2f}"),
+                    Column("p99 (ms)", "rtt_p99_ms", "{:.2f}"),
+                    Column("p99.9 (ms)", "rtt_p999_ms", "{:.2f}"),
+                    Column("viol rate", "violation_rate", "{:.2%}"),
+                    Column("burn (10 ms)", "budget_burn", "{:.2f}"),
+                ],
+            ),
+            Table("The Figure 8 knee, three orders of magnitude later", [
+                Column("users", "users"),
+                Column("probe RTT p99 (ms), poisson", "rtt_p99_ms", "{:.2f}"),
+            ], where=("process", "poisson")),
+        ],
     ),
     ExperimentSpec(
         "scale_closed_curve", "Closed-loop X(N) and the MVA knee at 10^3-10^6 sessions",
-        "scale", _scale_closed_curve,
+        "scale",
+        point=_scale_closed_curve_point, grid=CLOSED_CURVE_USERS, keys=("sessions",),
+        record=ClosedCurvePoint,
+        tables=[
+            Table(_closed_curve_title, [
+                Column("sessions", "sessions"), Column("util", "utilization", "{:.0%}"),
+                Column("n", "samples"), Column("p50 (ms)", "rtt_p50_ms", "{:.2f}"),
+                Column("p99 (ms)", "rtt_p99_ms", "{:.2f}"),
+                Column("X (keys/s)", "throughput_keys_per_s", "{:.0f}"),
+                Column("keys/s/session", "per_session_keys_per_s", "{:.4f}"),
+                Column("R (ms)", "response_ms", "{:.1f}"),
+                Column("MVA X bound", "mva_throughput_bound_keys_per_s", "{:.0f}"),
+                Column("viol rate", "violation_rate", "{:.2%}"),
+            ]),
+            Table("The MVA knee: flat until N*, then 1/N decay", [
+                Column("sessions", "sessions"),
+                Column("per-session throughput (keys/s)", "per_session_keys_per_s", "{:.4f}"),
+            ]),
+        ],
     ),
     ExperimentSpec(
-        "scale_fleet", "Capacity frontier with vectorized background populations",
-        "scale", _scale_fleet,
+        "scale_fleet", "Capacity frontier with vectorized background populations", "scale",
+        point=_scale_fleet_point,
+        grid=[(p, users) for p in FLEET_PROCESSES for users in FLEET_BG_USERS],
+        keys=("process", "bg_users_per_server"), record=FleetPoint,
+        tables=[
+            Table(
+                f"Capacity frontier at population scale: {FLEET_SERVERS} "
+                f"servers, {FLEET_PROBES_PER_SERVER} pinned probes each, "
+                "corrected latencies",
+                [
+                    Column("process", "process"),
+                    Column("bg users/server", "bg_users_per_server"), Column("n", "samples"),
+                    Column("cpu", "cpu_utilization", "{:.0%}"),
+                    Column("lan", "lan_utilization", "{:.0%}"), *_FLEET_TAIL,
+                ],
+            ),
+            Table("What a bursty million-user farm does to the tail", [
+                Column("bg users/server", "bg_users_per_server"),
+                Column("probe p99 (ms), onoff", "p99_ms", "{:.1f}"),
+            ], where=("process", "onoff")),
+        ],
     ),
     ExperimentSpec(
         "scale_closed_fleet", "Capacity frontier with closed-loop typing backgrounds",
-        "scale", _scale_closed_fleet,
+        "scale",
+        point=_scale_closed_fleet_point, grid=CLOSED_FLEET_BG_SESSIONS,
+        keys=("bg_sessions_per_server",), record=ClosedFleetPoint,
+        tables=[
+            Table(
+                f"Closed-loop capacity frontier: {FLEET_SERVERS} servers, "
+                f"{FLEET_PROBES_PER_SERVER} pinned probes each, typing "
+                "sessions that block on their echoes",
+                [
+                    Column("sessions/server", "bg_sessions_per_server"),
+                    Column("n", "samples"), Column("cpu", "cpu_utilization", "{:.0%}"),
+                    Column("lan", "lan_utilization", "{:.0%}"),
+                    Column("keys/s", "keys_per_s_per_server", "{:.0f}"), *_FLEET_TAIL,
+                ],
+            ),
+            Table("Self-throttling sessions still have a frontier", [
+                Column("sessions/server", "bg_sessions_per_server"),
+                Column("probe p99 (ms)", "p99_ms", "{:.1f}"),
+            ]),
+        ],
     ),
 )

@@ -31,11 +31,10 @@ and warm-cache runs; ``tests/golden/artifacts.json`` pins their digests.
 
 from __future__ import annotations
 
-from functools import partial
-from typing import NamedTuple, Tuple
+from typing import List, NamedTuple, Tuple
 
 from ..core.registry import ExperimentSpec
-from ..core.report import Column, format_columns, format_series, sweep, write_rows
+from ..core.report import Column, Row, Table, format_series
 from ..fleet.experiments import PLACEMENT_POLICIES_ORDER, WARMUP_MS, _drive_fleet
 from ..sim.stats import nearest_rank_percentile
 
@@ -285,40 +284,8 @@ def _slo_fleet_point(
     )
 
 
-def _slo_burst(ctx) -> None:
-    """Race both arrival processes over the rho sweep; print tail blow-up."""
-    rows = sweep(
-        ctx,
-        "slo_burst" + ctx.fault_suffix,
-        partial(
-            _slo_burst_point,
-            seed=ctx.seed,
-            faults=ctx.faults or "",
-            fault_seed=ctx.fault_seed,
-        ),
-        [(process, rho) for process in BURST_PROCESSES for rho in BURST_RHO_LEVELS],
-        ("process", "rho"),
-        BurstPoint,
-    )
-    columns = [
-        Column("process", "process"),
-        Column("rho", "rho", "{:.2f}"),
-        Column("n", "samples"),
-        Column("util", "utilization", "{:.0%}"),
-        Column("p50 (ms)", "p50_ms", "{:.2f}"),
-        Column("p90 (ms)", "p90_ms", "{:.2f}"),
-        Column("p99 (ms)", "p99_ms", "{:.2f}"),
-        Column("viol rate", "violation_rate", "{:.2%}"),
-        Column(f"burn ({BURST_BUDGET_MS:.0f} ms)", "budget_burn", "{:.2f}"),
-    ]
-    ctx.out.write(
-        format_columns(
-            columns,
-            rows,
-            title="Equal-mean load, unequal tails (10 ms probe budget)",
-        )
-        + "\n"
-    )
+def _burst_amplification(ctx, rows: List[Row]) -> None:
+    """Print each rho's p99 ratio of on-off to Poisson load."""
     p99 = {(row["process"], row["rho"]): row["p99_ms"] for row in rows}
     ctx.out.write(
         format_series(
@@ -331,89 +298,66 @@ def _slo_burst(ctx) -> None:
         )
         + "\n"
     )
-    write_rows(ctx, "slo_burst.csv", rows)
-
-
-def _slo_chaos_grid(ctx) -> None:
-    """Sweep fault scenarios against session counts on a co-safe fleet."""
-    rows = sweep(
-        ctx,
-        "slo_chaos_grid" + ctx.fault_suffix,
-        partial(_slo_chaos_point, seed=ctx.seed, fault_seed=ctx.fault_seed),
-        [
-            (label, spec, sessions)
-            for (label, spec) in CHAOS_SCENARIOS
-            for sessions in CHAOS_SESSIONS
-        ],
-        ("fault", "spec", "sessions"),
-        ChaosGridPoint,
-    )
-    columns = [
-        Column("fault", "fault"),
-        Column("sessions", "sessions"),
-        Column("n uncorr", "n_uncorrected"),
-        Column("n corr", "n_corrected"),
-        Column("p99 uncorr", "p99_uncorrected_ms", "{:.1f}"),
-        Column("p99 corr", "p99_corrected_ms", "{:.1f}"),
-        Column("viol rate", "violation_rate", "{:.2%}"),
-        Column(f"burn ({CHAOS_BUDGET_MS:.0f} ms)", "budget_burn", "{:.2f}"),
-        Column("missed", "missed_ticks"),
-    ]
-    title = (
-        "Chaos x load grid: coordinated omission hides the fault "
-        "column's tail"
-    )
-    ctx.out.write(format_columns(columns, rows, title=title) + "\n")
-    # The fault spec is the label's definition, not a CSV column.
-    write_rows(ctx, "slo_chaos_grid.csv", rows, [c.field for c in columns])
-
-
-def _slo_fleet(ctx) -> None:
-    """Race placement policies on p99/p99.9 and burn under a failure."""
-    rows = sweep(
-        ctx,
-        "slo_fleet" + ctx.fault_suffix,
-        partial(
-            _slo_fleet_point,
-            seed=ctx.seed,
-            faults=ctx.faults or "",
-            fault_seed=ctx.fault_seed,
-        ),
-        list(FLEET_POLICIES_ORDER),
-        ("policy",),
-        SloFleetPoint,
-    )
-    columns = [
-        Column("policy", "policy"),
-        Column("p99 (ms)", "p99_ms", "{:.1f}"),
-        Column("p99.9 (ms)", "p999_ms", "{:.1f}"),
-        Column(f"burn ({FLEET_BUDGET_MS:.0f} ms)", "budget_burn", "{:.2f}"),
-        Column("worst burn", "worst_window_burn", "{:.2f}"),
-        Column("migrations", "migrations"),
-    ]
-    title = (
-        f"Placement under failure, CO-corrected: {FLEET_SESSIONS} "
-        f"sessions on {FLEET_SERVERS} servers"
-    )
-    ctx.out.write(format_columns(columns, rows, title=title) + "\n")
-    write_rows(ctx, "slo_fleet.csv", rows)
 
 
 #: This module's experiments, in ``run all`` order; ``repro.cli``
 #: registers them after the analytic group.
 SPECS = (
     ExperimentSpec(
-        "slo_burst",
-        "Burst tails: equal-mean Poisson vs on-off load against a budget",
-        "slo", _slo_burst,
+        "slo_burst", "Burst tails: equal-mean Poisson vs on-off load against a budget",
+        "slo",
+        point=_slo_burst_point,
+        grid=[(process, rho) for process in BURST_PROCESSES for rho in BURST_RHO_LEVELS],
+        keys=("process", "rho"), record=BurstPoint,
+        tables=[Table("Equal-mean load, unequal tails (10 ms probe budget)", [
+            Column("process", "process"), Column("rho", "rho", "{:.2f}"),
+            Column("n", "samples"), Column("util", "utilization", "{:.0%}"),
+            Column("p50 (ms)", "p50_ms", "{:.2f}"), Column("p90 (ms)", "p90_ms", "{:.2f}"),
+            Column("p99 (ms)", "p99_ms", "{:.2f}"),
+            Column("viol rate", "violation_rate", "{:.2%}"),
+            Column(f"burn ({BURST_BUDGET_MS:.0f} ms)", "budget_burn", "{:.2f}"),
+        ])],
+        post_rows=_burst_amplification,
     ),
     ExperimentSpec(
-        "slo_chaos_grid",
-        "Chaos x load grid: corrected vs uncorrected p99 and budget burn",
-        "slo", _slo_chaos_grid,
+        "slo_chaos_grid", "Chaos x load grid: corrected vs uncorrected p99 and budget burn",
+        "slo",
+        point=_slo_chaos_point,
+        grid=[
+            (label, spec, sessions)
+            for (label, spec) in CHAOS_SCENARIOS
+            for sessions in CHAOS_SESSIONS
+        ],
+        keys=("fault", "spec", "sessions"), record=ChaosGridPoint,
+        tables=[Table(
+            "Chaos x load grid: coordinated omission hides the fault column's tail",
+            [
+                Column("fault", "fault"), Column("sessions", "sessions"),
+                Column("n uncorr", "n_uncorrected"), Column("n corr", "n_corrected"),
+                Column("p99 uncorr", "p99_uncorrected_ms", "{:.1f}"),
+                Column("p99 corr", "p99_corrected_ms", "{:.1f}"),
+                Column("viol rate", "violation_rate", "{:.2%}"),
+                Column(f"burn ({CHAOS_BUDGET_MS:.0f} ms)", "budget_burn", "{:.2f}"),
+                Column("missed", "missed_ticks"),
+            ],
+        )],
+        # The fault spec is the label's definition, not a CSV column.
+        csv_layout="columns",
     ),
     ExperimentSpec(
-        "slo_fleet", "Placement policies raced on corrected tails and budget burn",
-        "slo", _slo_fleet,
+        "slo_fleet", "Placement policies raced on corrected tails and budget burn", "slo",
+        point=_slo_fleet_point, grid=FLEET_POLICIES_ORDER, keys=("policy",),
+        record=SloFleetPoint,
+        tables=[Table(
+            f"Placement under failure, CO-corrected: {FLEET_SESSIONS} "
+            f"sessions on {FLEET_SERVERS} servers",
+            [
+                Column("policy", "policy"), Column("p99 (ms)", "p99_ms", "{:.1f}"),
+                Column("p99.9 (ms)", "p999_ms", "{:.1f}"),
+                Column(f"burn ({FLEET_BUDGET_MS:.0f} ms)", "budget_burn", "{:.2f}"),
+                Column("worst burn", "worst_window_burn", "{:.2f}"),
+                Column("migrations", "migrations"),
+            ],
+        )],
     ),
 )

@@ -1,14 +1,19 @@
-"""The experiment-declaration helpers: records, sweeps, columns and CSVs."""
+"""The experiment-declaration helpers: records, sweeps, columns, CSVs and
+the spec runner."""
 
 import csv
 import io
+from functools import partial
 from typing import NamedTuple
 
 import pytest
 
+from repro.core.registry import ExperimentSpec
 from repro.core.report import (
     Column,
+    Table,
     format_columns,
+    run_spec,
     sweep,
     write_rows,
     write_series,
@@ -160,3 +165,130 @@ class TestColumn:
         assert table.splitlines()[0].split(" | ") == [
             "process", "rho", "p99 (ms)", "viol rate"
         ]
+
+
+class ToyPoint(NamedTuple):
+    score: float
+    weight: int
+    trace: list
+
+
+def toy_point(cell, *, seed):
+    return ToyPoint(cell * 10.0 + seed, 3 - cell, [cell, cell + 1])
+
+
+def unseeded_point(cell):
+    return ToyPoint(cell * 2.0, cell, [cell])
+
+
+def faulted_point(cell, *, faults, fault_seed):
+    """Takes no seed: the runner must bind only what a point names."""
+    return ToyPoint(float(fault_seed), len(faults), [cell])
+
+
+TOY_GRID = [0, 1, 2]
+
+TOY_TABLE = Table(
+    "toy table",
+    (Column("cell", "cell"), Column("score", "score", "{:.1f}"),
+     Column("weight", "weight")),
+)
+
+TOY_SERIES = Table(
+    "toy series",
+    (Column("cell", "cell"), Column("weight", "weight", "{:.2f}")),
+    where=("weight", 1),
+)
+
+
+def toy_spec(**declared):
+    fields = dict(point=toy_point, grid=TOY_GRID, keys=("cell",), record=ToyPoint)
+    return ExperimentSpec("toy", "A toy sweep", "test", **{**fields, **declared})
+
+
+class TestRunSpec:
+    def test_tables_print_in_order_then_post_rows(self, tmp_path):
+        ctx = context(tmp_path, seed=4)
+        seen = []
+        spec = toy_spec(
+            tables=(TOY_TABLE, TOY_SERIES),
+            post_rows=lambda ctx, rows: (seen.append(rows), ctx.out.write("post\n")),
+        )
+        run_spec(spec, ctx)
+        rows = sweep(context(), "toy", partial(toy_point, seed=4), TOY_GRID,
+                     ("cell",), ToyPoint)
+        assert seen == [rows]
+        assert ctx.out.getvalue() == (
+            format_columns(TOY_TABLE.columns, rows, title="toy table") + "\n"
+            + TOY_SERIES.format(rows) + "\n"
+            + "post\n"
+        )
+        # The series keeps only the rows its filter names.
+        assert TOY_SERIES.format(rows).splitlines()[1:] == [
+            "cell | weight", "-----+-------", "   2 |   1.00",
+        ]
+
+    def test_default_csv_is_every_row_field(self, tmp_path):
+        run_spec(toy_spec(tables=(TOY_TABLE,)), context(tmp_path, seed=4))
+        header, first, *__ = read_csv(tmp_path / "toy.csv")
+        assert header == ["cell", "score", "weight", "trace"]
+        assert first == ["0", "4.0", "3", "[0, 1]"]
+
+    def test_columns_layout_writes_the_table_fields_raw(self, tmp_path):
+        table = Table("t", (Column("weight", "weight"), Column("score", "score", "{:.0f}")))
+        spec = toy_spec(tables=(table,), csv="sub_{name}.csv", csv_layout="columns")
+        run_spec(spec, context(tmp_path, seed=4))
+        assert read_csv(tmp_path / "sub_toy.csv") == [
+            ["weight", "score"], ["3", "4.0"], ["2", "14.0"], ["1", "24.0"],
+        ]
+
+    def test_cells_layout_writes_the_formatted_cells(self, tmp_path):
+        spec = toy_spec(tables=(TOY_TABLE,), csv_layout="cells")
+        run_spec(spec, context(tmp_path, seed=4))
+        assert read_csv(tmp_path / "toy.csv")[1] == ["0", "4.0", "3"]
+
+    def test_series_layout_writes_one_csv_per_row(self, tmp_path):
+        spec = toy_spec(csv="toy_{cell}.csv", csv_layout="series")
+        run_spec(spec, context(tmp_path, seed=4))
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "toy_0.csv", "toy_1.csv", "toy_2.csv",
+        ]
+        # Only the list-valued record fields become columns.
+        assert read_csv(tmp_path / "toy_1.csv") == [["trace"], ["1"], ["2"]]
+
+    def test_no_csv_is_written_for_a_csv_of_none(self, tmp_path):
+        run_spec(toy_spec(tables=(TOY_TABLE,), csv=None), context(tmp_path))
+        assert not list(tmp_path.iterdir())
+
+    def test_an_unseeded_spec_caches_under_seed_zero(self, tmp_path):
+        ctx = context(seed=7, cache_dir=str(tmp_path))
+        run_spec(toy_spec(point=unseeded_point, seeded=False), ctx)
+        cache = ctx.executor.cache
+        assert cache.load("toy", TOY_GRID[1], 0) == (True, unseeded_point(1))
+        assert not cache.load("toy", TOY_GRID[1], 7)[0]
+
+    def test_a_seeded_spec_caches_under_the_run_seed(self, tmp_path):
+        ctx = context(seed=7, cache_dir=str(tmp_path))
+        run_spec(toy_spec(), ctx)
+        hit, payload = ctx.executor.cache.load("toy", TOY_GRID[2], 7)
+        assert hit and payload == toy_point(2, seed=7)
+
+    def test_sweep_name_and_fault_suffix_key_the_cache(self, tmp_path):
+        ctx = context(seed=2, cache_dir=str(tmp_path), faults="loss=0.05",
+                      fault_seed=3)
+        spec = toy_spec(point=faulted_point, sweep="shared{fault_suffix}")
+        run_spec(spec, ctx)
+        hit, payload = ctx.executor.cache.load(
+            "shared+faults[loss=0.05@3]", TOY_GRID[0], 2
+        )
+        # The point got the run's fault plan and fault seed, and no seed.
+        assert hit and payload == ToyPoint(3.0, len("loss=0.05"), [0])
+        assert not ctx.executor.cache.load("toy", TOY_GRID[0], 2)[0]
+
+    def test_sweep_name_can_format_the_fault_plan(self, tmp_path):
+        ctx = context(cache_dir=str(tmp_path), fault_seed=9)
+        spec = toy_spec(point=faulted_point, sweep="toy[{faults}@{fault_seed}]")
+        run_spec(spec, ctx)
+        assert ctx.executor.cache.load("toy[@9]", TOY_GRID[0], 0) == (
+            True, ToyPoint(9.0, 0, [0]),
+        )
