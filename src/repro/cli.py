@@ -286,16 +286,12 @@ def _fig3_csvs(ctx: RunContext, rows: List[Row]) -> None:
 def _fig6_series(ctx: RunContext, rows: List[Row]) -> None:
     """Figure 6's hit-ratio curve, every tenth sample."""
     (row,) = rows
-    ctx.out.write(
-        format_series(
-            "time (s)",
-            "cumulative hit ratio",
-            [int(t / 1000) for t in row["time_ms"][::10]],
-            row["cumulative_hit_ratio"][::10],
-            title="Figure 6: 66-frame animation overflowing the cache",
-        )
-        + "\n"
+    seconds = [int(t / 1000) for t in row["time_ms"][::10]]
+    table = format_series(
+        "time (s)", "cumulative hit ratio", seconds, row["cumulative_hit_ratio"][::10],
+        title="Figure 6: 66-frame animation overflowing the cache",
     )
+    ctx.out.write(table + "\n")
 
 
 def _tab_sessions(ctx: RunContext) -> None:
