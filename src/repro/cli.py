@@ -326,7 +326,7 @@ def _tab_setup(ctx: RunContext) -> None:
     )
 
 
-_paper = partial(ExperimentSpec, group="paper", sweep="{name}")
+_paper = partial(ExperimentSpec, group="paper")
 _SYSTEM = Column("system", "system")
 _OFFERED_MBPS = Column("offered Mbps", "offered_mbps")
 

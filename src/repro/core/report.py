@@ -250,7 +250,8 @@ def run_spec(spec: Any, ctx: Any) -> None:
     The point function gets whichever of ``seed``, ``faults`` and
     ``fault_seed`` its signature names, from *ctx*.  The sweep name is
     ``spec.sweep`` formatted with the experiment ``name``, those three and
-    ``fault_suffix``; it keys the result cache (under seed 0 for an
+    ``fault_suffix`` (empty when the point function takes no ``faults``,
+    whose results do not depend on the fault plan); it keys the result cache (under seed 0 for an
     unseeded spec) and tags trace events.  Then the spec's tables print in
     order, its ``post_rows`` hook sees the rows, and the CSV is written in
     the spec's ``csv_layout``:
@@ -268,7 +269,10 @@ def run_spec(spec: Any, ctx: Any) -> None:
     given = {"seed": ctx.seed, "faults": ctx.faults or "", "fault_seed": ctx.fault_seed}
     wanted = signature(spec.point).parameters
     bound = {key: value for key, value in given.items() if key in wanted}
-    name = spec.sweep.format(name=spec.name, fault_suffix=ctx.fault_suffix, **given)
+    # A point function that takes no fault plan computes the same rows
+    # under --faults, so its cache entries are shared with clean runs.
+    suffix = ctx.fault_suffix if "faults" in wanted else ""
+    name = spec.sweep.format(name=spec.name, fault_suffix=suffix, **given)
     rows = sweep(
         ctx,
         name,

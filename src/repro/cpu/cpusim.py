@@ -3,8 +3,9 @@
 One :class:`CPU` owns one :class:`~repro.cpu.scheduler.Scheduler` and any
 number of threads.  It advances threads' bursts in *slices* — each slice ends
 at whichever comes first of quantum expiry or burst completion — and records
-every busy slice in an :class:`~repro.sim.trace.IntervalTrace`, which is what
-the lost-time measurement (Figures 1 and 2) consumes.
+every busy slice, labelled with its thread's name, in one
+:class:`~repro.sim.trace.IntervalTrace`, which is what the lost-time
+measurement (Figures 1 and 2) and its per-thread attribution consume.
 
 A ``speed`` factor scales the processor: burst demands are expressed in ms
 of CPU time on a reference processor, and a CPU with ``speed=2.0`` retires
@@ -55,10 +56,10 @@ class CPU:
         scheduler.attach(self)
 
         self.current: Optional[Thread] = None
+        #: Every busy slice, labelled with the thread name, for lost-time
+        #: attribution: which service's activity a user's input would have
+        #: collided with.
         self.busy_trace = IntervalTrace(name)
-        #: Per-thread busy intervals, for lost-time attribution: which
-        #: service's activity a user's input would have collided with.
-        self.thread_traces: dict = {}
         self.threads: list[Thread] = []
         self.context_switches = 0
 
@@ -166,7 +167,7 @@ class CPU:
 
         This is the per-quantum bookkeeping hot spot: one call per slice
         boundary, so the whole account — time, quantum, burst progress,
-        both interval traces — is computed once on locals and written back
+        the busy trace — is computed once on locals and written back
         in a single pass.
         """
         thread = self.current
@@ -187,12 +188,7 @@ class CPU:
         if not burst.is_infinite:
             remaining = burst.remaining - (elapsed - overhead) * self.speed
             burst.remaining = remaining if remaining > 0.0 else 0.0
-        self.busy_trace.record(start, now)
-        trace = self.thread_traces.get(thread.name)
-        if trace is None:
-            trace = IntervalTrace(thread.name)
-            self.thread_traces[thread.name] = trace
-        trace.record(start, now)
+        self.busy_trace.record(start, now, thread.name)
         self._slice_start = now
 
     def _cancel_slice(self) -> None:

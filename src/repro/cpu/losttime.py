@@ -39,23 +39,29 @@ class LostTimeMonitor:
         self.cpu = cpu
         self.merge_gap_ms = merge_gap_ms
 
-    def busy_events(self, t0: float, t1: float) -> List[Tuple[float, float]]:
-        """Maximal busy events within ``[t0, t1)``, gaps coalesced."""
-        events: List[Tuple[float, float]] = []
+    def event_durations(self, t0: float, t1: float) -> List[float]:
+        """Durations (ms) of the maximal busy events within ``[t0, t1)``.
+
+        One pass over the merged busy trace, clipped to the window; busy
+        stretches separated by at most ``merge_gap_ms`` are one event.
+        """
+        durations: List[float] = []
+        gap = self.merge_gap_ms
+        event_start = event_end = None
         for start, end in self.cpu.busy_trace.merged():
             start = max(start, t0)
             end = min(end, t1)
             if end <= start:
                 continue
-            if events and start - events[-1][1] <= self.merge_gap_ms:
-                events[-1] = (events[-1][0], end)
+            if event_end is not None and start - event_end <= gap:
+                event_end = end
             else:
-                events.append((start, end))
-        return events
-
-    def event_durations(self, t0: float, t1: float) -> List[float]:
-        """Durations (ms) of the busy events in ``[t0, t1)``."""
-        return [end - start for start, end in self.busy_events(t0, t1)]
+                if event_end is not None:
+                    durations.append(event_end - event_start)
+                event_start, event_end = start, end
+        if event_end is not None:
+            durations.append(event_end - event_start)
+        return durations
 
     def attribution(self, t0: float, t1: float) -> dict:
         """Busy ms per thread name in ``[t0, t1)`` — whose activity it was.
@@ -66,7 +72,7 @@ class LostTimeMonitor:
         was responsible.  Sorted descending by cost.
         """
         out = {}
-        for name, trace in self.cpu.thread_traces.items():
+        for name, trace in self.cpu.busy_trace.by_label().items():
             busy = sum(
                 min(end, t1) - max(start, t0)
                 for start, end in trace.merged()

@@ -44,8 +44,8 @@ All sweeps are byte-identical across serial, ``--jobs N``, and
 cold/warm-cache runs; ``tests/golden/artifacts.json`` pins their stdout,
 CSV, trace and metrics digests on every one of those paths.  Faults do not
 compose into these scenarios (the background is offered load, not a
-fault target); the sweep name still carries the fault suffix so cache
-entries stay distinct.
+fault target): the point functions take no fault plan, so a ``--faults``
+run keys the same cache entries as a clean one and reuses them.
 """
 
 from __future__ import annotations

@@ -85,8 +85,10 @@ class FluidBackground:
         self.start_ms = start_ms
         self._capacity = capacity = link.bytes_per_ms
         # Inflow ratio per tick: background work-ms arriving per elapsed ms.
-        self._rho = array("d", offered / tick_ms / capacity)
-        self._bytes = array("d", offered)
+        # Built from the raw bytes: array("d", ndarray) would box each
+        # element into a Python float first.
+        self._rho = array("d", (offered / tick_ms / capacity).tobytes())
+        self._bytes = array("d", offered.tobytes())
         self.offered_bytes_total = _sequential_total(np, offered)
         self._w = 0.0  # unfinished work (ms of transmission) at time _t
         self._t = start_ms

@@ -14,7 +14,7 @@ from .stats import (
     stddev,
     variance,
 )
-from .trace import ByteTrace, IntervalTrace, TimeSeries
+from .trace import ByteTrace, IntervalTrace
 
 __all__ = [
     "ByteTrace",
@@ -27,7 +27,6 @@ __all__ = [
     "Signal",
     "Simulator",
     "Summary",
-    "TimeSeries",
     "all_of",
     "cumulative_latency_by_duration",
     "derive_point_seed",

@@ -1,92 +1,99 @@
-"""Trace recording: time series, busy intervals, and byte-rate traces.
+"""Trace recording: busy intervals and byte-rate traces.
 
-Three recorders cover everything the paper's figures need:
+Two recorders cover everything the paper's figures need.  Each stores its
+records as packed 8-byte columns (:class:`array.array`), not one Python
+object per record, so a 10-minute idle trace or a busy link costs 8 bytes
+per field per record:
 
-* :class:`TimeSeries` — sampled ``(time, value)`` pairs (e.g. cache hit ratio).
-* :class:`IntervalTrace` — closed busy intervals ``[start, end)``; can be
-  rendered as a per-bin **utilization trace** (Figure 1) or reduced to a
-  distribution of interval durations (Figure 2).
+* :class:`IntervalTrace` — closed busy intervals ``[start, end)``, each
+  labelled with its owner (a CPU slice's thread name); can be rendered as
+  a per-bin **utilization trace** (Figure 1), coalesced into busy events
+  (Figure 2), or split per owner for lost-time attribution.
 * :class:`ByteTrace` — timestamped byte counts (packets on a wire); can be
   rendered as a windowed **Mbps load trace** (Figures 4, 5, 7).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from array import array
+from typing import Dict, List, Tuple
 
 from ..units import bytes_over_ms_to_mbps
 from ..errors import SimulationError
-
-
-class TimeSeries:
-    """An append-only series of ``(time_ms, value)`` samples."""
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self.times: List[float] = []
-        self.values: List[float] = []
-
-    def record(self, time: float, value: float) -> None:
-        """Append one sample.  Times must be non-decreasing."""
-        if self.times and time < self.times[-1]:
-            raise SimulationError(
-                f"TimeSeries {self.name!r}: time went backwards "
-                f"({time} < {self.times[-1]})"
-            )
-        self.times.append(time)
-        self.values.append(value)
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def __iter__(self):
-        return iter(zip(self.times, self.values))
-
-    def last(self) -> Tuple[float, float]:
-        """The most recent sample."""
-        if not self.times:
-            raise SimulationError(f"TimeSeries {self.name!r} is empty")
-        return self.times[-1], self.values[-1]
 
 
 class IntervalTrace:
     """Closed busy intervals, e.g. 'the CPU was handling work from t0 to t1'.
 
     Intervals may be recorded out of order and may overlap (overlap is merged
-    when computing utilization).
+    when computing utilization).  Row ``i`` is ``starts[i]``, ``ends[i]`` and
+    ``label_ids[i]``, an index into :attr:`labels`, the distinct labels in
+    first-recorded order.
     """
 
     def __init__(self, name: str = "") -> None:
         self.name = name
-        self.intervals: List[Tuple[float, float]] = []
+        self.starts = array("d")
+        self.ends = array("d")
+        self.label_ids = array("q")
+        self.labels: List[str] = []
+        self._label_index: Dict[str, int] = {}
+        #: Whether rows arrived in ``(start, end)`` order, so merging needs
+        #: no sort.  A single CPU's slices always do.
+        self._in_order = True
 
-    def record(self, start: float, end: float) -> None:
-        """Record one busy interval ``[start, end)``."""
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def record(self, start: float, end: float, label: str = "") -> None:
+        """Record one busy interval ``[start, end)`` owned by *label*."""
         if end < start:
             raise SimulationError(
                 f"IntervalTrace {self.name!r}: end {end} before start {start}"
             )
         if end > start:
-            self.intervals.append((start, end))
+            starts = self.starts
+            if self._in_order and starts:
+                last = starts[-1]
+                if start < last or (start == last and end < self.ends[-1]):
+                    self._in_order = False
+            starts.append(start)
+            self.ends.append(end)
+            index = self._label_index.get(label)
+            if index is None:
+                index = self._label_index[label] = len(self.labels)
+                self.labels.append(label)
+            self.label_ids.append(index)
 
-    def durations(self) -> List[float]:
-        """Durations of all recorded intervals, in ms."""
-        return [end - start for start, end in self.intervals]
+    def by_label(self) -> Dict[str, "IntervalTrace"]:
+        """One trace per label, in first-recorded order, rows in record order."""
+        traces = [IntervalTrace(label) for label in self.labels]
+        for start, end, index in zip(self.starts, self.ends, self.label_ids):
+            traces[index].record(start, end)
+        return {trace.name: trace for trace in traces}
 
     def total_busy(self) -> float:
         """Total busy time in ms, with overlapping intervals merged."""
-        merged = self.merged()
-        return sum(end - start for start, end in merged)
+        return sum(end - start for start, end in self.merged())
 
     def merged(self) -> List[Tuple[float, float]]:
         """The recorded intervals, sorted and with overlaps coalesced."""
+        rows = zip(self.starts, self.ends)
+        if not self._in_order:
+            rows = iter(sorted(rows))
+        first = next(rows, None)
+        if first is None:
+            return []
+        cur_start, cur_end = first
         out: List[Tuple[float, float]] = []
-        for start, end in sorted(self.intervals):
-            if out and start <= out[-1][1]:
-                prev_start, prev_end = out[-1]
-                out[-1] = (prev_start, max(prev_end, end))
+        for start, end in rows:
+            if start <= cur_end:
+                if end > cur_end:
+                    cur_end = end
             else:
-                out.append((start, end))
+                out.append((cur_start, cur_end))
+                cur_start, cur_end = start, end
+        out.append((cur_start, cur_end))
         return out
 
     def utilization(
@@ -128,8 +135,8 @@ class ByteTrace:
 
     def __init__(self, name: str = "") -> None:
         self.name = name
-        self.times: List[float] = []
-        self.sizes: List[int] = []
+        self.times = array("d")
+        self.sizes = array("q")
 
     def record(self, time: float, nbytes: int) -> None:
         """Record *nbytes* observed at *time* (ms)."""
@@ -142,11 +149,6 @@ class ByteTrace:
     def total_bytes(self) -> int:
         """Sum of all recorded byte counts."""
         return sum(self.sizes)
-
-    @property
-    def count(self) -> int:
-        """Number of records (e.g. packets) observed."""
-        return len(self.sizes)
 
     def load_series(
         self, t0: float, t1: float, window_ms: float

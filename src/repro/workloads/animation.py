@@ -29,7 +29,7 @@ from ..gui.drawing import Bitmap, DrawBitmap
 from ..net.framing import TCPIP, wire_bytes
 from ..protocols import RDPProtocol, RemoteDisplayProtocol, make_protocol
 from ..sim.engine import Simulator
-from ..sim.trace import ByteTrace, TimeSeries
+from ..sim.trace import ByteTrace
 
 
 @dataclass(frozen=True)

@@ -285,6 +285,16 @@ class TestRunSpec:
         assert hit and payload == ToyPoint(3.0, len("loss=0.05"), [0])
         assert not ctx.executor.cache.load("toy", TOY_GRID[0], 2)[0]
 
+    def test_a_fault_blind_point_keys_the_clean_sweep_name(self, tmp_path):
+        ctx = context(seed=2, cache_dir=str(tmp_path), faults="loss=0.05",
+                      fault_seed=3)
+        run_spec(toy_spec(), ctx)
+        hit, payload = ctx.executor.cache.load("toy", TOY_GRID[0], 2)
+        assert hit and payload == toy_point(0, seed=2)
+        assert not ctx.executor.cache.load(
+            "toy+faults[loss=0.05@3]", TOY_GRID[0], 2
+        )[0]
+
     def test_sweep_name_can_format_the_fault_plan(self, tmp_path):
         ctx = context(cache_dir=str(tmp_path), fault_seed=9)
         spec = toy_spec(point=faulted_point, sweep="toy[{faults}@{fault_seed}]")

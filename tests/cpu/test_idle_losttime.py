@@ -1,5 +1,8 @@
 """Tests for idle-activity profiles and lost-time measurement (Figs. 1–2)."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.cpu import (
@@ -133,6 +136,25 @@ class TestIdleExperiment:
         """Even TSE's idle load is a few percent, not a busy system."""
         result = run_idle_experiment("nt_tse", 60_000.0, seed=5)
         assert 0.0 < result.idle_utilization < 0.15
+
+
+class TestRetainedMemory:
+    def test_idle_run_keeps_one_packed_row_per_slice(self):
+        """A 60 s TSE idle run holds its ~6.6k busy slices as packed
+        24-byte rows in one recorder (1.4 MB retained when each slice was
+        two tuples in two recorders)."""
+        run_idle_experiment("nt_tse", 1_000.0, seed=1)  # first-use imports
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = run_idle_experiment("nt_tse", 60_000.0, seed=1)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(result.cpu.busy_trace) > 6_000
+        assert retained <= 0.8e6
 
 
 class TestAttribution:

@@ -78,8 +78,8 @@ def test_trace_records_at_transmit_complete():
     link = Link(sim, bandwidth_mbps=10.0)
     link.send(Packet(1250))
     sim.run_until(10.0)
-    assert link.trace.times == [pytest.approx(1.0)]
-    assert link.trace.sizes == [1250]
+    assert list(link.trace.times) == [pytest.approx(1.0)]
+    assert list(link.trace.sizes) == [1250]
 
 
 def test_utilization():

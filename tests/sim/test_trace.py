@@ -3,40 +3,16 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import ByteTrace, IntervalTrace, TimeSeries
-
-
-class TestTimeSeries:
-    def test_record_and_iterate(self):
-        ts = TimeSeries("s")
-        ts.record(0.0, 1.0)
-        ts.record(1.0, 2.0)
-        assert list(ts) == [(0.0, 1.0), (1.0, 2.0)]
-        assert len(ts) == 2
-        assert ts.last() == (1.0, 2.0)
-
-    def test_time_must_not_go_backwards(self):
-        ts = TimeSeries()
-        ts.record(5.0, 0.0)
-        with pytest.raises(SimulationError):
-            ts.record(4.0, 0.0)
-
-    def test_last_of_empty_raises(self):
-        with pytest.raises(SimulationError):
-            TimeSeries().last()
+from repro.sim import ByteTrace, IntervalTrace
 
 
 class TestIntervalTrace:
-    def test_durations(self):
-        tr = IntervalTrace()
-        tr.record(0.0, 10.0)
-        tr.record(20.0, 25.0)
-        assert tr.durations() == [10.0, 5.0]
-
     def test_zero_length_intervals_dropped(self):
         tr = IntervalTrace()
         tr.record(1.0, 1.0)
-        assert tr.durations() == []
+        assert len(tr) == 0
+        assert tr.merged() == []
+        assert tr.labels == []
 
     def test_backwards_interval_raises(self):
         tr = IntervalTrace()
@@ -79,6 +55,28 @@ class TestIntervalTrace:
         __, utils = tr.utilization(0.0, 10.0, 10.0)
         assert utils == [1.0]
 
+    def test_columns_are_packed_8_byte_values(self):
+        tr = IntervalTrace()
+        tr.record(0.0, 1.0, "a")
+        for column in (tr.starts, tr.ends, tr.label_ids):
+            assert column.itemsize == 8
+        assert (tr.starts.typecode, tr.ends.typecode) == ("d", "d")
+        assert tr.label_ids.typecode == "q"
+
+    def test_by_label_keeps_first_recorded_order_and_row_order(self):
+        tr = IntervalTrace()
+        tr.record(0.0, 1.0, "b")
+        tr.record(1.0, 2.0, "a")
+        tr.record(2.0, 4.0, "b")
+        tr.record(0.5, 0.75, "a")
+        assert tr.labels == ["b", "a"]
+        assert list(tr.label_ids) == [0, 1, 0, 1]
+        per_label = tr.by_label()
+        assert list(per_label) == ["b", "a"]
+        assert per_label["b"].merged() == [(0.0, 1.0), (2.0, 4.0)]
+        assert list(per_label["a"].starts) == [1.0, 0.5]
+        assert per_label["a"].merged() == [(0.5, 0.75), (1.0, 2.0)]
+
     def test_utilization_rejects_bad_args(self):
         tr = IntervalTrace()
         with pytest.raises(SimulationError):
@@ -88,12 +86,20 @@ class TestIntervalTrace:
 
 
 class TestByteTrace:
+    def test_columns_are_packed_8_byte_values(self):
+        bt = ByteTrace()
+        bt.record(0.5, 1250)
+        assert (bt.times.typecode, bt.times.itemsize) == ("d", 8)
+        assert (bt.sizes.typecode, bt.sizes.itemsize) == ("q", 8)
+        assert list(bt.times) == [0.5]
+        assert list(bt.sizes) == [1250]
+
     def test_totals(self):
         bt = ByteTrace()
         bt.record(0.0, 100)
         bt.record(1.0, 200)
         assert bt.total_bytes == 300
-        assert bt.count == 2
+        assert len(bt.sizes) == 2
 
     def test_negative_bytes_raise(self):
         with pytest.raises(SimulationError):

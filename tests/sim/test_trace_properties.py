@@ -6,7 +6,9 @@ These pin down the arithmetic the paper's figures depend on:
   the merged busy time inside the binned span;
 * load series conserve bytes — every byte recorded in the window appears in
   exactly one bin;
-* overlap merging is idempotent and produces a sorted, disjoint cover.
+* overlap merging is idempotent and produces a sorted, disjoint cover;
+* the packed columns merge and bin exactly as the tuple-list recorder
+  they replaced (a frozen copy lives below as the reference).
 
 Plus regression tests for the degenerate-window bug: a window narrower than
 half a bin used to round to **zero** bins and silently return empty series.
@@ -35,6 +37,49 @@ byte_records = st.lists(
     ),
     max_size=60,
 )
+
+
+# Few distinct grid values, so equal starts, equal ends, touching and
+# nested intervals are common, recorded in any order.
+grid_intervals = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=12).map(lambda i: i * 2.5),
+        st.integers(min_value=0, max_value=12).map(lambda i: i * 2.5),
+    ).map(lambda pair: (min(pair), max(pair))),
+    max_size=40,
+)
+
+
+def reference_merged(intervals):
+    """The tuple-list recorder's merge, frozen as the reference."""
+    out = []
+    for start, end in sorted(intervals):
+        if out and start <= out[-1][1]:
+            prev_start, prev_end = out[-1]
+            out[-1] = (prev_start, max(prev_end, end))
+        else:
+            out.append((start, end))
+    return out
+
+
+def reference_utilization(intervals, t0, t1, bin_ms):
+    """The tuple-list recorder's binning, frozen as the reference."""
+    nbins = max(1, int((t1 - t0) / bin_ms + 0.5))
+    busy = [0.0] * nbins
+    for start, end in reference_merged(intervals):
+        start = max(start, t0)
+        end = min(end, t1)
+        if end <= start:
+            continue
+        first = int((start - t0) / bin_ms)
+        last = min(int((end - t0) / bin_ms), nbins - 1)
+        for i in range(first, last + 1):
+            bin_start = t0 + i * bin_ms
+            bin_end = bin_start + bin_ms
+            busy[i] += max(0.0, min(end, bin_end) - max(start, bin_start))
+    times = [t0 + i * bin_ms for i in range(nbins)]
+    utils = [b / bin_ms for b in busy]
+    return times, utils
 
 
 def make_interval_trace(pairs):
@@ -101,6 +146,49 @@ class TestIntervalTraceProperties:
         trace = make_interval_trace(pairs)
         __, utils = trace.utilization(0.0, 500.0, bin_ms)
         assert all(-1e-9 <= u <= 1.0 + 1e-9 for u in utils)
+
+
+class TestPackedMatchesTupleReference:
+    """Packed columns give the bytes the tuple list gave, in or out of order."""
+
+    @settings(max_examples=300)
+    @given(st.one_of(grid_intervals, intervals), st.booleans())
+    def test_merged_equals_reference(self, pairs, presorted):
+        if presorted:
+            pairs = sorted(pairs)
+        recorded = [(s, e) for s, e in pairs if e > s]
+        assert make_interval_trace(pairs).merged() == reference_merged(recorded)
+
+    @settings(max_examples=300)
+    @given(
+        st.one_of(grid_intervals, intervals),
+        st.booleans(),
+        st.floats(min_value=-10.0, max_value=100.0),
+        st.floats(min_value=1.0, max_value=600.0),
+        st.floats(min_value=0.5, max_value=50.0),
+    )
+    def test_utilization_equals_reference(self, pairs, presorted, t0, span, bin_ms):
+        if presorted:
+            pairs = sorted(pairs)
+        recorded = [(s, e) for s, e in pairs if e > s]
+        t1 = t0 + span
+        assert make_interval_trace(pairs).utilization(
+            t0, t1, bin_ms
+        ) == reference_utilization(recorded, t0, t1, bin_ms)
+
+    @settings(max_examples=200)
+    @given(grid_intervals, st.lists(st.sampled_from("abc"), min_size=40))
+    def test_each_label_merges_like_its_own_tuple_list(self, pairs, labels):
+        trace = IntervalTrace("prop")
+        per_label = {}
+        for (start, end), label in zip(pairs, labels):
+            trace.record(start, end, label)
+            if end > start:
+                per_label.setdefault(label, []).append((start, end))
+        split = trace.by_label()
+        assert list(split) == list(per_label)
+        for label, rows in per_label.items():
+            assert split[label].merged() == reference_merged(rows)
 
 
 class TestByteTraceProperties:

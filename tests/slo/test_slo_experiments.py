@@ -165,3 +165,31 @@ class TestOutputShape:
         with open(tmp_path / "slo_fleet.csv") as f:
             rows = list(csv.reader(f))
         assert [r[0] for r in rows[1:]] == FLEET_POLICIES_ORDER
+
+
+class TestFaultBlindCache:
+    def test_faulted_run_replays_the_clean_points(self, tmp_path):
+        """The grid injects its own faults and takes no fault plan, so a
+        ``--faults`` run shares the clean run's cache entries and bytes."""
+        cache = str(tmp_path / "cache")
+        outputs = []
+        for label, extra in (
+            ("clean", []),
+            ("faulted", ["--faults", "loss=0.02", "--fault-seed", "3"]),
+        ):
+            out, progress = io.StringIO(), io.StringIO()
+            csv_dir = tmp_path / label
+            code = main(
+                ["run", "slo_chaos_grid", "--seed", "1", "--cache-dir", cache,
+                 "--csv", str(csv_dir)] + extra,
+                out=out,
+                progress=progress,
+            )
+            assert code == 0
+            with open(csv_dir / "slo_chaos_grid.csv", "rb") as f:
+                outputs.append((out.getvalue(), f.read(), progress.getvalue()))
+        (clean_out, clean_csv, __), (faulted_out, faulted_csv, progress) = outputs
+        points = len(CHAOS_SCENARIOS) * len(CHAOS_SESSIONS)
+        assert f"({points} cached, backend=serial)" in progress
+        assert faulted_out == clean_out
+        assert faulted_csv == clean_csv
