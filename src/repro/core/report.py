@@ -250,9 +250,9 @@ def run_spec(spec: Any, ctx: Any) -> None:
     The point function gets whichever of ``seed``, ``faults`` and
     ``fault_seed`` its signature names, from *ctx*.  The sweep name is
     ``spec.sweep`` formatted with the experiment ``name``, those three and
-    ``fault_suffix`` (empty when the point function takes no ``faults``,
-    whose results do not depend on the fault plan); it keys the result cache (under seed 0 for an
-    unseeded spec) and tags trace events.  Then the spec's tables print in
+    ``fault_suffix`` (empty when the point function takes no ``faults``);
+    it keys the result cache (under seed 0 for an unseeded spec) and tags
+    trace events.  Then the spec's tables print in
     order, its ``post_rows`` hook sees the rows, and the CSV is written in
     the spec's ``csv_layout``:
 

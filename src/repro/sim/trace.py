@@ -74,7 +74,8 @@ class IntervalTrace:
 
     def total_busy(self) -> float:
         """Total busy time in ms, with overlapping intervals merged."""
-        return sum(end - start for start, end in self.merged())
+        merged = self.merged()
+        return sum(end - start for start, end in merged)
 
     def merged(self) -> List[Tuple[float, float]]:
         """The recorded intervals, sorted and with overlaps coalesced."""
