@@ -42,9 +42,6 @@ class IntervalTrace:
         #: no sort.  A single CPU's slices always do.
         self._in_order = True
 
-    def __len__(self) -> int:
-        return len(self.starts)
-
     def record(self, start: float, end: float, label: str = "") -> None:
         """Record one busy interval ``[start, end)`` owned by *label*."""
         if end < start:

@@ -10,7 +10,7 @@ class TestIntervalTrace:
     def test_zero_length_intervals_dropped(self):
         tr = IntervalTrace()
         tr.record(1.0, 1.0)
-        assert len(tr) == 0
+        assert len(tr.starts) == 0
         assert tr.merged() == []
         assert tr.labels == []
 
