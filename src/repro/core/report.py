@@ -250,11 +250,11 @@ def run_spec(spec: Any, ctx: Any) -> None:
     The point function gets whichever of ``seed``, ``faults`` and
     ``fault_seed`` its signature names, from *ctx*.  The sweep name is
     ``spec.sweep`` formatted with the experiment ``name``, those three and
-    ``fault_suffix`` (empty when the point function takes no ``faults``);
-    it keys the result cache (under seed 0 for an unseeded spec) and tags
-    trace events.  Then the spec's tables print in
-    order, its ``post_rows`` hook sees the rows, and the CSV is written in
-    the spec's ``csv_layout``:
+    ``fault_suffix``, which names only the fault inputs the point function
+    takes; it keys the result cache (under seed 0 for an unseeded spec) and
+    tags trace events.  Then the spec's tables print in order, its
+    ``post_rows`` hook sees the rows, and the CSV is written in the spec's
+    ``csv_layout``:
 
     ``rows``
         every row field (:func:`write_rows`);
@@ -269,9 +269,16 @@ def run_spec(spec: Any, ctx: Any) -> None:
     given = {"seed": ctx.seed, "faults": ctx.faults or "", "fault_seed": ctx.fault_seed}
     wanted = signature(spec.point).parameters
     bound = {key: value for key, value in given.items() if key in wanted}
-    # A point function that takes no fault plan computes the same rows
-    # under --faults, so its cache entries are shared with clean runs.
-    suffix = ctx.fault_suffix if "faults" in wanted else ""
+    # The suffix names only the fault inputs the point function takes, so a
+    # sweep blind to --faults shares the clean run's cache entries.  One
+    # that takes just the fault seed is tagged with it, unless it is the
+    # default, which clean runs use too.
+    if "faults" in wanted:
+        suffix = ctx.fault_suffix
+    elif "fault_seed" in wanted and ctx.fault_seed:
+        suffix = f"+fault_seed[{ctx.fault_seed}]"
+    else:
+        suffix = ""
     name = spec.sweep.format(name=spec.name, fault_suffix=suffix, **given)
     rows = sweep(
         ctx,

@@ -16,8 +16,8 @@ to write artifacts and render the metrics summary.
 Fault injection rides it too: ``faults`` holds the canonical ``--faults``
 spec string (kept as a string so it pickles to workers and keys cache
 entries) plus its ``fault_seed``; :attr:`RunContext.fault_suffix` tags
-sweep names so faulted and clean sweeps never replay each other's cached
-points.
+the names of sweeps that take the fault plan, so faulted and clean runs of
+them never replay each other's cached points.
 """
 
 from __future__ import annotations

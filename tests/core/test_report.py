@@ -295,6 +295,18 @@ class TestRunSpec:
             "toy+faults[loss=0.05@3]", TOY_GRID[0], 2
         )[0]
 
+    def test_a_fault_seed_only_point_keys_a_nondefault_fault_seed(self, tmp_path):
+        def seeded_point(cell, *, fault_seed):
+            return ToyPoint(float(fault_seed), cell, [cell])
+
+        for fault_seed, name in ((0, "toy"), (3, "toy+fault_seed[3]")):
+            ctx = context(cache_dir=str(tmp_path), faults="loss=0.05",
+                          fault_seed=fault_seed)
+            run_spec(toy_spec(point=seeded_point), ctx)
+            assert ctx.executor.cache.load(name, TOY_GRID[1], 0) == (
+                True, ToyPoint(float(fault_seed), 1, [1]),
+            )
+
     def test_sweep_name_can_format_the_fault_plan(self, tmp_path):
         ctx = context(cache_dir=str(tmp_path), fault_seed=9)
         spec = toy_spec(point=faulted_point, sweep="toy[{faults}@{fault_seed}]")

@@ -168,28 +168,41 @@ class TestOutputShape:
 
 
 class TestFaultBlindCache:
+    """The grid injects its own faults: it takes the fault seed but no fault
+    plan, so ``--faults`` alone replays the clean run's cache entries and a
+    fault seed keys entries of its own."""
+
+    def run(self, tmp_path, label, *extra):
+        out, progress = io.StringIO(), io.StringIO()
+        code = main(
+            ["run", "slo_chaos_grid", "--seed", "1", "--csv",
+             str(tmp_path / label), *extra],
+            out=out,
+            progress=progress,
+        )
+        assert code == 0
+        with open(tmp_path / label / "slo_chaos_grid.csv", "rb") as f:
+            return out.getvalue(), f.read(), progress.getvalue()
+
     def test_faulted_run_replays_the_clean_points(self, tmp_path):
-        """The grid injects its own faults and takes no fault plan, so a
-        ``--faults`` run shares the clean run's cache entries and bytes."""
-        cache = str(tmp_path / "cache")
-        outputs = []
-        for label, extra in (
-            ("clean", []),
-            ("faulted", ["--faults", "loss=0.02", "--fault-seed", "3"]),
-        ):
-            out, progress = io.StringIO(), io.StringIO()
-            csv_dir = tmp_path / label
-            code = main(
-                ["run", "slo_chaos_grid", "--seed", "1", "--cache-dir", cache,
-                 "--csv", str(csv_dir)] + extra,
-                out=out,
-                progress=progress,
-            )
-            assert code == 0
-            with open(csv_dir / "slo_chaos_grid.csv", "rb") as f:
-                outputs.append((out.getvalue(), f.read(), progress.getvalue()))
-        (clean_out, clean_csv, __), (faulted_out, faulted_csv, progress) = outputs
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        clean_out, clean_csv, __ = self.run(tmp_path, "clean", *cache)
+        out, csv_bytes, progress = self.run(
+            tmp_path, "faulted", "--faults", "loss=0.02", *cache
+        )
         points = len(CHAOS_SCENARIOS) * len(CHAOS_SESSIONS)
         assert f"({points} cached, backend=serial)" in progress
-        assert faulted_out == clean_out
-        assert faulted_csv == clean_csv
+        assert out == clean_out
+        assert csv_bytes == clean_csv
+
+    def test_a_fault_seed_keys_its_own_points(self, tmp_path):
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        clean = self.run(tmp_path, "clean", *cache)
+        seeded = ["--fault-seed", "3"]
+        out, csv_bytes, progress = self.run(
+            tmp_path, "faulted", "--faults", "loss=0.02", *seeded, *cache
+        )
+        assert "(0 cached, backend=serial)" in progress
+        fresh = self.run(tmp_path, "fresh", *seeded, "--no-cache")
+        assert (out, csv_bytes) == fresh[:2]
+        assert csv_bytes != clean[1]
