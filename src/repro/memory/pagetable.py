@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from array import array
+from typing import List, Optional
 
 from ..errors import MemoryError_
-from .physical import Frame
 
 
 class AddressSpace:
     """A process's virtual memory: ``num_pages`` pages, a resident subset.
 
-    The page table maps virtual page numbers (vpn) to physical frames for
-    the resident pages; everything else lives on the paging disk.
+    The page table maps virtual page numbers (vpn) to physical frame
+    indices for the resident pages, and holds -1 for every other page
+    (it lives on the paging disk).  It refers to frames only by index, so
+    an address space and its frame pool hold no reference cycle.
     """
 
     def __init__(
@@ -29,7 +31,9 @@ class AddressSpace:
         #: Interactive processes are the beneficiaries of Evans et al.'s
         #: throttling/working-set protection (see repro.memory.throttle).
         self.interactive = interactive
-        self._table: Dict[int, Frame] = {}
+        self._table = array("q", [-1]) * num_pages
+        #: How many of this space's pages are in physical memory.
+        self.resident_pages = 0
 
         # Accounting.
         self.faults = 0
@@ -42,39 +46,26 @@ class AddressSpace:
                 f"{self.name}: vpn {vpn} out of range [0, {self.num_pages})"
             )
 
-    def lookup(self, vpn: int) -> Optional[Frame]:
+    def lookup(self, vpn: int) -> Optional[int]:
         """The frame holding *vpn*, or None if not resident."""
         self._check_vpn(vpn)
-        return self._table.get(vpn)
+        frame = self._table[vpn]
+        return None if frame < 0 else frame
 
-    def map(self, vpn: int, frame: Frame) -> None:
-        """Install the translation vpn → frame."""
-        self._check_vpn(vpn)
-        if vpn in self._table:
-            raise MemoryError_(f"{self.name}: vpn {vpn} already mapped")
-        frame.owner = self
-        frame.vpn = vpn
-        self._table[vpn] = frame
-
-    def unmap(self, vpn: int) -> Frame:
+    def unmap(self, vpn: int) -> int:
         """Remove the translation for *vpn*, returning its frame."""
         self._check_vpn(vpn)
-        frame = self._table.pop(vpn, None)
-        if frame is None:
+        frame = self._table[vpn]
+        if frame < 0:
             raise MemoryError_(f"{self.name}: vpn {vpn} is not resident")
-        frame.owner = None
-        frame.vpn = None
+        self._table[vpn] = -1
+        self.resident_pages -= 1
         self.evicted_pages += 1
         return frame
 
-    @property
-    def resident_pages(self) -> int:
-        """How many of this space's pages are in physical memory."""
-        return len(self._table)
-
-    def resident_vpns(self) -> list:
+    def resident_vpns(self) -> List[int]:
         """Sorted virtual page numbers currently resident."""
-        return sorted(self._table)
+        return [vpn for vpn, frame in enumerate(self._table) if frame >= 0]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -26,7 +26,6 @@ import math
 from typing import List, Optional
 
 from .pagetable import AddressSpace
-from .physical import Frame
 from .vm import VirtualMemory
 
 
@@ -48,7 +47,7 @@ class ThrottledVirtualMemory(VirtualMemory):
 
     # -- working-set protection ---------------------------------------------
 
-    def _select_victim(self, requester: AddressSpace) -> Optional[Frame]:
+    def _select_victim(self, requester: AddressSpace) -> Optional[int]:
         """Prefer victims not owned by interactive processes.
 
         Interactive requesters keep plain policy order — the protection
@@ -56,12 +55,12 @@ class ThrottledVirtualMemory(VirtualMemory):
         """
         if requester.interactive:
             return super()._select_victim(requester)
-        skipped: List[Frame] = []
-        victim: Optional[Frame] = None
+        owners = self.pool.owner
+        skipped: List[int] = []
+        victim: Optional[int] = None
         while len(self.policy) > 0:
             candidate = self.policy.select_victim()
-            owner = candidate.owner
-            if isinstance(owner, AddressSpace) and owner.interactive:
+            if owners[candidate].interactive:
                 skipped.append(candidate)
                 self.protected_skips += 1
             else:

@@ -15,13 +15,14 @@ service time, which dwarfs everything else.
 
 from __future__ import annotations
 
+from array import array
 from typing import List, Optional
 
 from ..errors import MemoryError_
 from ..obs import current_observation
 from .disk import PagingDisk
 from .pagetable import AddressSpace
-from .physical import Frame, FramePool
+from .physical import FramePool
 from .replacement import ReplacementPolicy
 
 
@@ -98,11 +99,9 @@ class VirtualMemory:
 
     def destroy_process(self, space: AddressSpace) -> None:
         """Free every resident frame of *space*."""
-        for vpn in list(space.resident_vpns()):
-            frame = space.lookup(vpn)
-            assert frame is not None
+        for vpn in space.resident_vpns():
+            frame = space.unmap(vpn)
             self.policy.remove(frame)
-            space.unmap(vpn)
             self.pool.release(frame)
         self.spaces.remove(space)
 
@@ -116,7 +115,7 @@ class VirtualMemory:
         if frame is not None:
             self.policy.access(frame)
             if write:
-                frame.dirty = True
+                self.pool.dirty[frame] = 1
             space.hits += 1
             self.total_hits += 1
             if self._obs is not None:
@@ -171,16 +170,17 @@ class VirtualMemory:
         # directly instead of paying AddressSpace.lookup's range check.
         table = space._table
         access = self.policy.access
+        dirty = self.pool.dirty
         num_pages = space.num_pages
         vpn = start_vpn
         stop = start_vpn + npages
         while vpn < stop:
             v = vpn % num_pages
-            frame = table.get(v)
-            if frame is not None:
+            frame = table[v]
+            if frame >= 0:
                 access(frame)
                 if write:
-                    frame.dirty = True
+                    dirty[frame] = 1
                 hit_run += 1
                 total += hit_latency
                 vpn += 1
@@ -194,7 +194,7 @@ class VirtualMemory:
             # request, where the address space wraps, or at the limit.
             run_stop = min(v + limit, v + stop - vpn, num_pages)
             end = v + 1
-            while end < run_stop and end not in table:
+            while end < run_stop and table[end] < 0:
                 end += 1
             total = self._fault_free_run(space, v, end - v, write, total)
             vpn += end - v
@@ -235,17 +235,26 @@ class VirtualMemory:
             if counter is None:
                 counter = self._faults_counter = obs.metrics.counter("mem.faults")
             counter.value += count
-        frames = self.pool.allocate_run(count)
+        pool = self.pool
+        frames = pool.allocate_run(count)
         table = space._table
-        # One int object serves as both the frame's vpn and its table key;
-        # a second copy would cost memory for every resident page.
-        for fault_vpn, frame in zip(range(vpn, vpn + count), frames):
-            frame.owner = space
-            frame.vpn = fault_vpn
-            table[fault_vpn] = frame
-        if write:
-            for frame in frames:
-                frame.dirty = True
+        space.resident_pages += count
+        if type(frames) is range:
+            # Never-used frames, contiguous and clean: fill by slices.
+            start, stop = frames.start, frames.stop
+            pool.owner[start:stop] = [space] * count
+            pool.vpn[start:stop] = array("q", range(vpn, vpn + count))
+            if write:
+                pool.dirty[start:stop] = b"\x01" * count
+            table[vpn : vpn + count] = array("q", frames)
+        else:
+            owner, vpns, dirty = pool.owner, pool.vpn, pool.dirty
+            for fault_vpn, frame in zip(range(vpn, vpn + count), frames):
+                owner[frame] = space
+                vpns[frame] = fault_vpn
+                table[fault_vpn] = frame
+                if write:
+                    dirty[frame] = 1
         self.policy.insert_run(frames)
         services = self.disk.single_reads_ms(count)
         if obs is None:
@@ -286,36 +295,38 @@ class VirtualMemory:
         end = vpn + 1
         if self.read_cluster > 1:
             stop = min(vpn + self.read_cluster, space.num_pages)
-            while end < stop and end not in table:
+            while end < stop and table[end] < 0:
                 end += 1
 
         latency = 0.0
         pool = self.pool
+        owner, vpns, dirty = pool.owner, pool.vpn, pool.dirty
         # Only the free frames counted here can be allocated without an
         # eviction, so no allocate call is made just to learn it fails.
         free = pool.free_frames
         for fault_vpn in range(vpn, end):
             if free:
                 free -= 1
+                frame = pool.allocate()
             else:
-                victim = self._select_victim(space)
-                if victim is None:
+                frame = self._select_victim(space)
+                if frame is None:
                     if fault_vpn == vpn:
                         raise MemoryError_(
                             "out of memory: no free frames and no evictable pages"
                         )
                     end = fault_vpn  # cluster truncated by memory pressure
                     break
-                # The victim's frame tops the free list: allocate takes it.
-                latency += self._evict(victim)
-            frame = pool.allocate()
-            # AddressSpace.map without its checks: fault_vpn is in range
-            # and not resident, by the caller's contract and the scan above.
-            frame.owner = space
-            frame.vpn = fault_vpn
+                # The victim's frame is reused in place: the frame a
+                # release then allocate would hand back.
+                latency += self._evict(frame)
+            # fault_vpn is in range and not resident, by the caller's
+            # contract and the scan above.
+            owner[frame] = space
+            vpns[frame] = fault_vpn
             table[fault_vpn] = frame
-            if write and fault_vpn == vpn:
-                frame.dirty = True
+            dirty[frame] = write and fault_vpn == vpn
+            space.resident_pages += 1
             self.policy.insert(frame)
 
         latency += self.disk.read_ms(end - vpn)
@@ -328,18 +339,17 @@ class VirtualMemory:
             hist.observe(latency)
         return latency
 
-    def _select_victim(self, requester: AddressSpace) -> Optional[Frame]:
+    def _select_victim(self, requester: AddressSpace) -> Optional[int]:
         if len(self.policy) == 0:
             return None
         return self.policy.select_victim()
 
-    def _evict(self, victim: Frame) -> float:
-        """Unmap and free *victim*; returns synchronous write-back latency."""
-        owner = victim.owner
-        assert isinstance(owner, AddressSpace)
-        assert victim.vpn is not None
+    def _evict(self, victim: int) -> float:
+        """Unmap frame *victim* from its owner, leaving the frame in use for
+        the caller to refill; returns synchronous write-back latency."""
+        pool = self.pool
         latency = 0.0
-        if victim.dirty:
+        if pool.dirty[victim]:
             self.total_writebacks += 1
             write_ms = self.disk.write_ms(1)
             if self.synchronous_writeback:
@@ -351,8 +361,7 @@ class VirtualMemory:
                         self._obs.metrics.counter("mem.writebacks")
                     )
                 counter.value += 1
-        owner.unmap(victim.vpn)
-        self.pool.release(victim)
+        pool.owner[victim].unmap(pool.vpn[victim])
         self.total_evictions += 1
         if self._obs is not None:
             counter = self._evictions_counter

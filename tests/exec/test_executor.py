@@ -1,6 +1,8 @@
 """Tests for the sweep executor: backends, merge order, fallback."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -108,3 +110,28 @@ class TestSweepExecutorMap:
         stream = io.StringIO()
         SweepExecutor(progress=stream).map("sq", square, [1])
         assert "sq" in stream.getvalue()
+
+
+
+class _SelfReferencing:
+    def __init__(self):
+        self.me = self
+
+
+def test_serial_sweep_frees_each_point_before_the_next():
+    previous = []  # a weak reference to the last point's cyclic object
+
+    def cyclic_point(n):
+        """Whether the previous point's cyclic garbage is still alive."""
+        alive = bool(previous) and previous[0]() is not None
+        previous[:] = [weakref.ref(_SelfReferencing())]
+        return alive
+
+    was_enabled = gc.isenabled()
+    gc.disable()  # only the executor's own collection may free the cycle
+    try:
+        alive = SweepExecutor(jobs=1).map("cyclic", cyclic_point, [0, 1, 2])
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert alive == [False, False, False]

@@ -32,21 +32,66 @@ def test_allocate_and_release():
     a = pool.allocate()
     b = pool.allocate()
     assert a is not None and b is not None
-    assert a.index != b.index
+    assert a != b
     assert pool.allocate() is None  # exhausted
     pool.release(a)
     assert pool.free_frames == 1
-    assert pool.allocate() is a
+    assert pool.allocate() == a
 
 
 def test_release_clears_frame_state():
     pool = FramePool(kb(8))
     f = pool.allocate()
-    f.dirty = True
-    f.owner = object()
-    f.vpn = 3
+    pool.dirty[f] = 1
+    pool.owner[f] = object()
+    pool.vpn[f] = 3
     pool.release(f)
-    assert f.owner is None and f.vpn is None and not f.dirty
+    view = pool.frame(f)
+    assert view.owner is None and view.vpn is None and not view.dirty
+    assert view.free and not view.pinned
+
+
+def test_frame_view_reads_the_columns():
+    pool = FramePool(kb(16))
+    owner = object()
+    f = pool.allocate()
+    pool.owner[f] = owner
+    pool.vpn[f] = 7
+    pool.dirty[f] = 1
+    view = pool.frame(f)
+    assert (view.index, view.owner, view.vpn, view.dirty) == (f, owner, 7, True)
+    assert not view.free and not view.pinned
+    never_used = pool.frame(pool.total_frames - 1)
+    assert never_used.free and never_used.owner is None
+    with pytest.raises(MemoryError_):
+        pool.frame(pool.total_frames)
+
+
+def test_release_of_never_allocated_frame_rejected():
+    pool = FramePool(kb(8))
+    with pytest.raises(MemoryError_):
+        pool.release(0)
+    with pytest.raises(MemoryError_):
+        pool.release(-1)
+
+
+def test_fresh_run_is_a_range():
+    pool = FramePool(kb(32))
+    assert pool.allocate_run(3) == range(0, 3)
+    pool.release(1)
+    run = pool.allocate_run(3)  # the released frame first, then fresh ones
+    assert list(run) == [1, 3, 4]
+
+
+def test_columns_are_packed_8_byte_and_1_byte():
+    pool = FramePool(kb(64))
+    pool.allocate_run(5)
+    pool.release(2)
+    assert pool.vpn.itemsize == 8 and len(pool.vpn) == 5
+    assert pool._released.itemsize == 8
+    assert isinstance(pool.dirty, bytearray) and len(pool.dirty) == 5
+    assert isinstance(pool.state, bytearray) and len(pool.state) == 5
+    assert len(pool.owner) == 5  # grown to the high-water mark only
 
 
 def test_double_free_rejected():
@@ -62,7 +107,7 @@ def test_pin_reserves_frames():
     pinned = pool.pin(kb(12))  # 3 pages
     assert pinned == 3
     assert pool.free_frames == 253
-    assert sum(1 for f in pool.frames if f.pinned) == 3
+    assert sum(pool.frame(i).pinned for i in range(pool.total_frames)) == 3
 
 
 def test_pin_rounds_up():
@@ -79,7 +124,7 @@ def test_pin_beyond_capacity_rejected():
 def test_pinned_frame_cannot_be_released():
     pool = FramePool(kb(8))
     pool.pin(kb(4))
-    pinned = next(f for f in pool.frames if f.pinned)
+    pinned = next(i for i in range(pool.total_frames) if pool.frame(i).pinned)
     with pytest.raises(MemoryError_):
         pool.release(pinned)
 
@@ -121,23 +166,15 @@ pool_programs = st.lists(
 )
 
 
-@given(st.integers(1, 24), pool_programs, st.integers(0, 60))
-def test_lazy_pool_matches_eager_reference(total_frames, program, build_at):
-    """Same indices, counts and exhaustion as the eager pool.
-
-    Reading ``pool.frames`` before step *build_at* builds every frame
-    mid-program, which must not change what comes out afterwards.
-    """
+@given(st.integers(1, 24), pool_programs)
+def test_lazy_pool_matches_eager_reference(total_frames, program):
+    """Same indices, counts and exhaustion as the eager pool, and after
+    every step a view of every frame agrees with it on pinned and free."""
     pool = FramePool(kb(4) * total_frames)
     reference = EagerPool(total_frames)
     held = []  # frames allocated and not yet released
     released = []  # frames on the free list, most recent last
-    for step, (op, arg) in enumerate(program):
-        if step == build_at:
-            frames = pool.frames
-            assert [f.index for f in frames] == list(range(total_frames))
-            assert {f.index for f in frames if f.pinned} == reference.pinned
-            assert {f.index for f in frames if f.free} == set(reference.free)
+    for op, arg in program:
         if op == "allocate":
             for _ in range(arg):
                 frame = pool.allocate()
@@ -145,7 +182,7 @@ def test_lazy_pool_matches_eager_reference(total_frames, program, build_at):
                 if expected is None:
                     assert frame is None
                     break
-                assert frame.index == expected and not frame.free
+                assert frame == expected and not pool.frame(frame).free
                 if frame in released:
                     released.remove(frame)
                 held.append(frame)
@@ -156,14 +193,15 @@ def test_lazy_pool_matches_eager_reference(total_frames, program, build_at):
             else:
                 run = pool.allocate_run(arg)
                 expected = [reference.allocate() for _ in range(arg)]
-                assert [f.index for f in run] == expected
-                assert not any(f.free or f.dirty or f.referenced for f in run)
+                assert list(run) == expected
+                views = [pool.frame(f) for f in run]
+                assert not any(v.free or v.dirty or v.owner for v in views)
                 released = [f for f in released if f not in run]
                 held += run
         elif op == "release" and held:
             frame = held.pop(arg % len(held))
             pool.release(frame)
-            reference.release(frame.index)
+            reference.release(frame)
             released.append(frame)
         elif op == "pin":
             npages = -(-arg // kb(4))
@@ -173,20 +211,24 @@ def test_lazy_pool_matches_eager_reference(total_frames, program, build_at):
             else:
                 assert pool.pin(arg) == npages
                 reference.pin(npages)
-                released = [f for f in released if not f.pinned]
+                released = [f for f in released if not pool.frame(f).pinned]
         elif op == "double_free" and released:
             with pytest.raises(MemoryError_):
                 pool.release(released[arg % len(released)])
         elif op == "release_pinned" and reference.pinned:
-            pinned = next(f for f in pool.frames if f.pinned)
+            pinned = min(reference.pinned)
             with pytest.raises(MemoryError_):
                 pool.release(pinned)
+        views = [pool.frame(i) for i in range(total_frames)]
+        assert [v.index for v in views] == list(range(total_frames))
+        assert {v.index for v in views if v.pinned} == reference.pinned
+        assert {v.index for v in views if v.free} == set(reference.free)
         assert pool.free_frames == len(reference.free)
         assert pool.used_frames == total_frames - len(reference.free)
     # Drain: the rest comes out in exactly the reference order.
     while True:
         frame = pool.allocate()
         expected = reference.allocate()
-        assert (None if frame is None else frame.index) == expected
+        assert frame == expected
         if expected is None:
             break

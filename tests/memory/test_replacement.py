@@ -1,16 +1,17 @@
 """Unit and property tests for page replacement policies."""
 
+from collections import OrderedDict, deque
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import MemoryError_
 from repro.memory import ClockPolicy, FIFOPolicy, LRUPolicy, make_policy
-from repro.memory.physical import Frame
 
 
 def frames(n):
-    return [Frame(i) for i in range(n)]
+    return list(range(n))
 
 
 class TestLRU:
@@ -20,9 +21,9 @@ class TestLRU:
         for f in (a, b, c):
             policy.insert(f)
         policy.access(a)  # order now b, c, a
-        assert policy.select_victim() is b
-        assert policy.select_victim() is c
-        assert policy.select_victim() is a
+        assert policy.select_victim() == b
+        assert policy.select_victim() == c
+        assert policy.select_victim() == a
 
     def test_select_removes_from_tracking(self):
         policy = LRUPolicy()
@@ -41,7 +42,7 @@ class TestLRU:
     def test_access_untracked_rejected(self):
         policy = LRUPolicy()
         with pytest.raises(MemoryError_):
-            policy.access(Frame(0))
+            policy.access(0)
 
     def test_empty_victim_rejected(self):
         with pytest.raises(MemoryError_):
@@ -63,7 +64,7 @@ class TestClock:
         policy.insert(a)
         policy.insert(b)
         # Both referenced on insert: first sweep clears a and b, evicts a.
-        assert policy.select_victim() is a
+        assert policy.select_victim() == a
 
     def test_accessed_frame_survives_one_sweep(self):
         policy = ClockPolicy()
@@ -71,9 +72,9 @@ class TestClock:
         for f in (a, b, c):
             policy.insert(f)
         # Clear all reference bits via one full eviction cycle.
-        assert policy.select_victim() is a
+        assert policy.select_victim() == a
         policy.access(b)  # re-reference b
-        assert policy.select_victim() is c
+        assert policy.select_victim() == c
 
     def test_remove(self):
         policy = ClockPolicy()
@@ -81,7 +82,7 @@ class TestClock:
         policy.insert(a)
         policy.insert(b)
         policy.remove(a)
-        assert policy.select_victim() is b
+        assert policy.select_victim() == b
 
     def test_empty_victim_rejected(self):
         with pytest.raises(MemoryError_):
@@ -102,7 +103,7 @@ class TestFIFO:
         policy.insert(a)
         policy.insert(b)
         policy.access(a)
-        assert policy.select_victim() is a
+        assert policy.select_victim() == a
 
     def test_empty_victim_rejected(self):
         with pytest.raises(MemoryError_):
@@ -142,6 +143,199 @@ def test_make_policy():
         make_policy("arc")
 
 
+@pytest.mark.parametrize("name", ["lru", "clock", "fifo"])
+def test_contiguous_run_links_like_a_list(name):
+    """A ``range`` run (linked by slices) evicts like the same frames as
+    a list (linked one insert at a time), after earlier frames."""
+    by_range, by_list = make_policy(name), make_policy(name)
+    for policy in (by_range, by_list):
+        policy.insert(9)
+        policy.insert(2)
+    by_range.insert_run(range(3, 8))
+    by_list.insert_run([3, 4, 5, 6, 7])
+    for policy in (by_range, by_list):
+        policy.access(4)
+        policy.remove(6)
+    assert len(by_range) == len(by_list) == 6
+    assert [by_range.select_victim() for _ in range(6)] == [
+        by_list.select_victim() for _ in range(6)
+    ]
+
+
+def test_lru_columns_are_packed_8_byte():
+    policy = LRUPolicy()
+    policy.insert_run(range(4))
+    assert policy._prev.itemsize == policy._next.itemsize == 8
+    assert len(policy._prev) == 5  # the sentinel slot plus one per frame
+
+
+# --- frozen references: the object-based policies --------------------------
+
+
+class RefFrame:
+    """The fields of the former per-frame object that policies used."""
+
+    def __init__(self, index):
+        self.index = index
+        self.referenced = False
+
+
+class RefLRU:
+    """Exact LRU over frame objects, as an ordered map."""
+
+    def __init__(self):
+        self._order = OrderedDict()
+
+    def insert(self, frame):
+        if frame.index in self._order:
+            raise MemoryError_(f"frame {frame.index} inserted twice")
+        self._order[frame.index] = frame
+
+    def access(self, frame):
+        if frame.index not in self._order:
+            raise MemoryError_(f"access to untracked frame {frame.index}")
+        self._order.move_to_end(frame.index)
+
+    def remove(self, frame):
+        self._order.pop(frame.index, None)
+
+    def select_victim(self):
+        if not self._order:
+            raise MemoryError_("no evictable frames")
+        __, frame = self._order.popitem(last=False)
+        return frame
+
+    def __len__(self):
+        return len(self._order)
+
+
+class RefClock:
+    """Second chance over frame objects, using their reference bits."""
+
+    def __init__(self):
+        self._ring = deque()
+        self._members = {}
+
+    def insert(self, frame):
+        if frame.index in self._members:
+            raise MemoryError_(f"frame {frame.index} inserted twice")
+        frame.referenced = True
+        self._ring.append(frame)
+        self._members[frame.index] = frame
+
+    def access(self, frame):
+        if frame.index not in self._members:
+            raise MemoryError_(f"access to untracked frame {frame.index}")
+        frame.referenced = True
+
+    def remove(self, frame):
+        if self._members.pop(frame.index, None) is not None:
+            self._ring.remove(frame)
+
+    def select_victim(self):
+        if not self._ring:
+            raise MemoryError_("no evictable frames")
+        while True:
+            frame = self._ring.popleft()
+            if frame.referenced:
+                frame.referenced = False
+                self._ring.append(frame)
+            else:
+                del self._members[frame.index]
+                return frame
+
+    def __len__(self):
+        return len(self._ring)
+
+
+class RefFIFO(RefLRU):
+    """Arrival order over frame objects: an ordered map, access ignored."""
+
+    def access(self, frame):
+        if frame.index not in self._order:
+            raise MemoryError_(f"access to untracked frame {frame.index}")
+
+
+REFERENCES = {"lru": RefLRU, "clock": RefClock, "fifo": RefFIFO}
+
+NUM_FRAMES = 12
+
+policy_programs = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from(["insert", "access", "remove", "victim"]),
+            st.integers(0, NUM_FRAMES - 1),
+        ),
+        # A run of consecutive frames, inserted as a ``range`` (the
+        # slice-linked path) or as a list.
+        st.tuples(
+            st.sampled_from(["insert_range", "insert_list"]),
+            st.tuples(st.integers(0, NUM_FRAMES - 1), st.integers(0, 5)),
+        ),
+    ),
+    max_size=80,
+)
+
+
+@pytest.mark.parametrize("name", ["lru", "clock", "fifo"])
+@given(program=policy_programs)
+def test_packed_policy_matches_frozen_reference(name, program):
+    """The packed policies evict the same victims, in the same order, as
+    the object-based references, and reject the same misuse."""
+    policy = make_policy(name)
+    reference = REFERENCES[name]()
+    objects = [RefFrame(i) for i in range(NUM_FRAMES)]
+    tracked = set()
+
+    def both(method, frame):
+        """Call *method* on both; they must raise alike."""
+        outcomes = []
+        for target, arg in ((policy, frame), (reference, objects[frame])):
+            try:
+                getattr(target, method)(arg)
+                outcomes.append(None)
+            except MemoryError_:
+                outcomes.append(MemoryError_)
+        assert outcomes[0] == outcomes[1]
+        return outcomes[0] is None
+
+    for op, arg in program:
+        if op == "insert":
+            if both("insert", arg):
+                tracked.add(arg)
+        elif op in ("insert_range", "insert_list"):
+            first, count = arg
+            run = range(first, min(first + count, NUM_FRAMES))
+            if tracked.isdisjoint(run):
+                policy.insert_run(run if op == "insert_range" else list(run))
+                for frame in run:
+                    reference.insert(objects[frame])
+                tracked.update(run)
+            else:
+                with pytest.raises(MemoryError_, match="inserted twice"):
+                    policy.insert_run(run)
+                return  # a rejected run may leave some of its frames linked
+        elif op == "access":
+            both("access", arg)
+        elif op == "remove":
+            both("remove", arg)
+            tracked.discard(arg)
+        elif tracked:
+            victim = policy.select_victim()
+            assert victim == reference.select_victim().index
+            tracked.remove(victim)
+        else:
+            with pytest.raises(MemoryError_):
+                policy.select_victim()
+        assert len(policy) == len(reference) == len(tracked)
+    # Drain: the remaining victims come out in the same order.
+    while tracked:
+        victim = policy.select_victim()
+        assert victim == reference.select_victim().index
+        tracked.remove(victim)
+    assert len(policy) == 0
+
+
 # --- property tests: LRU against a reference model -------------------------
 
 ops = st.lists(
@@ -156,29 +350,27 @@ def test_lru_matches_reference_model(operations):
     """Exact LRU must evict precisely in reference-recency order."""
     policy = LRUPolicy()
     model = []  # list of frame indices, least recent first
-    pool = {i: Frame(i) for i in range(8)}
-    for op, i in operations:
-        frame = pool[i]
+    for op, frame in operations:
         if op == "insert":
-            if i in model:
+            if frame in model:
                 continue
             policy.insert(frame)
-            model.append(i)
+            model.append(frame)
         elif op == "access":
-            if i not in model:
+            if frame not in model:
                 continue
             policy.access(frame)
-            model.remove(i)
-            model.append(i)
+            model.remove(frame)
+            model.append(frame)
         elif op == "remove":
             policy.remove(frame)
-            if i in model:
-                model.remove(i)
+            if frame in model:
+                model.remove(frame)
         else:  # victim
             if not model:
                 continue
             victim = policy.select_victim()
-            assert victim.index == model.pop(0)
+            assert victim == model.pop(0)
     assert len(policy) == len(model)
 
 
@@ -187,25 +379,23 @@ def test_clock_tracks_membership(operations):
     """Clock never evicts an untracked frame and keeps counts consistent."""
     policy = ClockPolicy()
     members = set()
-    pool = {i: Frame(i) for i in range(8)}
-    for op, i in operations:
-        frame = pool[i]
+    for op, frame in operations:
         if op == "insert":
-            if i in members:
+            if frame in members:
                 continue
             policy.insert(frame)
-            members.add(i)
+            members.add(frame)
         elif op == "access":
-            if i not in members:
+            if frame not in members:
                 continue
             policy.access(frame)
         elif op == "remove":
             policy.remove(frame)
-            members.discard(i)
+            members.discard(frame)
         else:
             if not members:
                 continue
             victim = policy.select_victim()
-            assert victim.index in members
-            members.remove(victim.index)
+            assert victim in members
+            members.remove(victim)
     assert len(policy) == len(members)

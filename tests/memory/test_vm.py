@@ -1,6 +1,8 @@
 """Unit tests for the virtual-memory manager."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -151,3 +153,43 @@ def test_streaming_hog_evicts_idle_interactive_process():
     # The next keystroke pays disk latency for every page it needs.
     r = vm.touch(editor, 0)
     assert r.faulted
+
+
+def test_evicting_fault_reuses_victim_frame_in_place():
+    vm, pool, __ = make_vm(pool_kb=16)  # 4 frames
+    p = vm.create_process("p", kb(32))
+    vm.touch_sequential(p, 0, 4, write=True)
+    victim = p.lookup(0)  # the LRU page
+
+    def no_free_list(*args):
+        raise AssertionError("an evicting fault used the free list")
+
+    pool.allocate = pool.release = pool.allocate_run = no_free_list
+    r = vm.touch(p, 4)
+    assert r.faulted and r.evicted == 1
+    assert p.lookup(4) == victim and p.lookup(0) is None
+    view = pool.frame(victim)
+    assert (view.owner, view.vpn, view.dirty) == (p, 4, False)
+    assert pool.free_frames == 0 and pool.used_frames == 4
+
+
+def test_dropped_vm_is_freed_without_the_collector():
+    """Frames refer to tables by index only: no reference cycle."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for policy in ("lru", "clock", "fifo"):
+            pool = FramePool(kb(32))  # 8 frames
+            vm = VirtualMemory(pool, PagingDisk(random.Random(0)), make_policy(policy))
+            space = vm.create_process("p", kb(64))  # 16 pages
+            vm.touch_sequential(space, 0, 12, write=True)  # in, then out
+            vm.touch(space, 3)
+            other = vm.create_process("q", kb(8))
+            vm.touch_sequential(other, 0, 2)
+            vm.destroy_process(other)
+            ref = weakref.ref(space)
+            del vm, pool, space, other
+            assert ref() is None, policy
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -142,8 +142,9 @@ class _ReferenceFaultPath:
 
     A frozen copy of ``touch``, ``touch_sequential`` and ``_page_in``
     (and the disk's read formula) that faults every missing page on its
-    own.  The batched VM must end in exactly its state, so a regression
-    that ``touch`` and ``touch_sequential`` share still shows.
+    own, and refills an evicted victim's frame in place.  The batched VM
+    must end in exactly its state, so a regression that ``touch`` and
+    ``touch_sequential`` share still shows.
     """
 
     def touch(self, space, vpn, *, write=False):
@@ -151,7 +152,7 @@ class _ReferenceFaultPath:
         if frame is not None:
             self.policy.access(frame)
             if write:
-                frame.dirty = True
+                self.pool.dirty[frame] = 1
             space.hits += 1
             self.total_hits += 1
             if self._obs is not None:
@@ -173,11 +174,11 @@ class _ReferenceFaultPath:
         table = space._table
         for vpn in range(start_vpn, start_vpn + npages):
             v = vpn % space.num_pages
-            frame = table.get(v)
-            if frame is not None:
+            frame = table[v]
+            if frame >= 0:
                 self.policy.access(frame)
                 if write:
-                    frame.dirty = True
+                    self.pool.dirty[frame] = 1
                 hit_run += 1
                 total += self.HIT_LATENCY_MS
             else:
@@ -199,25 +200,25 @@ class _ReferenceFaultPath:
         end = vpn + 1
         if self.read_cluster > 1:
             stop = min(vpn + self.read_cluster, space.num_pages)
-            while end < stop and end not in table:
+            while end < stop and table[end] < 0:
                 end += 1
         latency = 0.0
+        pool = self.pool
         for fault_vpn in range(vpn, end):
-            frame = self.pool.allocate()
+            frame = pool.allocate()
             if frame is None:
-                victim = self._select_victim(space)
-                if victim is None:
+                frame = self._select_victim(space)
+                if frame is None:
                     if fault_vpn == vpn:
                         raise MemoryError_("out of memory")
                     end = fault_vpn
                     break
-                latency += self._evict(victim)
-                frame = self.pool.allocate()
-            frame.owner = space
-            frame.vpn = fault_vpn
+                latency += self._evict(frame)
+            pool.owner[frame] = space
+            pool.vpn[frame] = fault_vpn
+            pool.dirty[frame] = write and fault_vpn == vpn
             table[fault_vpn] = frame
-            if write and fault_vpn == vpn:
-                frame.dirty = True
+            space.resident_pages += 1
             self.policy.insert(frame)
         latency += reference_read_ms(self.disk, end - vpn)
         if obs is not None:
@@ -281,9 +282,10 @@ class Twin:
         ]
         self.victims = []
         evict = self.vm._evict
+        pool = self.vm.pool
 
         def logging_evict(victim):
-            self.victims.append((victim.owner.name, victim.vpn, victim.index))
+            self.victims.append((pool.owner[victim].name, pool.vpn[victim], victim))
             return evict(victim)
 
         self.vm._evict = logging_evict
@@ -309,11 +311,17 @@ class Twin:
                 getattr(vm, "protected_skips", None),
             ),
             "spaces": [
-                (s.hits, s.faults, s.evicted_pages, s.resident_vpns())
+                (
+                    s.hits,
+                    s.faults,
+                    s.evicted_pages,
+                    s.resident_pages,
+                    s.resident_vpns(),
+                )
                 for s in self.spaces
             ],
             "frames": [
-                (s.lookup(v).index, s.lookup(v).dirty)
+                (s.lookup(v), vm.pool.dirty[s.lookup(v)])
                 for s in self.spaces
                 for v in s.resident_vpns()
             ],
